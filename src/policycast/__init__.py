@@ -18,7 +18,7 @@ from .absc import (
     signcrypt,
     signing_keygen,
 )
-from .groups import CurveProfile, DecodeError, GroupContext, group_setup
+from .groups import CurveProfile, DecodeError, GroupContext
 from .ledger import Block, Record, ValidatorSet, genesis, verify_chain
 from .nodes import DeviceNode, EdgeNode, TrustedAuthority, ValidatorNode
 from .policy import AccessTree, parse_policy, policy_to_text, satisfies
@@ -45,7 +45,6 @@ __all__ = [
     "VerificationKey",
     "designcrypt",
     "genesis",
-    "group_setup",
     "keygen",
     "parse_policy",
     "policy_to_text",

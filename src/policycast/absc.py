@@ -26,7 +26,7 @@ recovered message.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from cryptography.hazmat.primitives import padding as _padding
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -288,7 +288,6 @@ def designcrypt(pp, st, ct_msg, key, verification_key, transcript=None):
 # wire form
 
 def st_to_json(st):
-    ctx = st.c.ctx
     leaves = []
     for idx in st.tree.leaves():
         c_y, c_y_prime = st.leaf_c[idx]
@@ -306,14 +305,16 @@ def st_to_json(st):
     }
 
 
-def st_from_json(ctx, obj):
-    """Strict decode; raises DecodeError on any structural problem."""
+def _st_shape(ctx, obj):
+    """Shape step of st_from_json: keys, policy, hex widths, pi range and
+    leaves, no curve math.  The point fields keep their encoded bytes."""
     try:
         tree = parse_policy(obj["policy"])
+        width = 1 + ctx.params.fq_bytes
         c_tilde = hex_bytes(obj["c_tilde"], KEY_BYTES)
-        c = ctx.deserialize_element(hex_bytes(obj["c"]), "s1")
-        w = ctx.deserialize_element(hex_bytes(obj["w"]), "s1")
-        psi = ctx.deserialize_element(hex_bytes(obj["psi"]), "s2")
+        c = hex_bytes(obj["c"], width)
+        w = hex_bytes(obj["w"], width)
+        psi = hex_bytes(obj["psi"], width)
         pi_raw = obj["pi"]
         if not isinstance(pi_raw, str) or not pi_raw.isdigit():
             raise DecodeError("pi must be a decimal string")
@@ -328,16 +329,23 @@ def st_from_json(ctx, obj):
         for idx, entry in zip(leaf_idx, raw_leaves):
             if entry["attr"] != tree.nodes[idx].attribute:
                 raise DecodeError("leaf attribute mismatch")
-            leaf_c[idx] = (
-                ctx.deserialize_element(hex_bytes(entry["c_y"]), "s1"),
-                ctx.deserialize_element(hex_bytes(entry["c_y_prime"]), "s1"),
-            )
+            leaf_c[idx] = (hex_bytes(entry["c_y"], width),
+                           hex_bytes(entry["c_y_prime"], width))
         return SignedCiphertext(tree, c_tilde, c, leaf_c, w,
                                 Scalar(pi_val, ctx.p), psi)
     except DecodeError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DecodeError(f"malformed signed ciphertext: {exc}") from None
+
+
+def st_from_json(ctx, obj):
+    """Strict decode; raises DecodeError on any structural problem."""
+    st = _st_shape(ctx, obj)
+    pt = ctx.deserialize_element
+    return replace(st, c=pt(st.c, "s1"), w=pt(st.w, "s1"), psi=pt(st.psi, "s2"),
+                   leaf_c={idx: (pt(a, "s1"), pt(b, "s1"))
+                           for idx, (a, b) in st.leaf_c.items()})
 
 
 def ct_to_json(ct_msg):
@@ -348,9 +356,7 @@ def ct_from_json(obj):
     try:
         iv = hex_bytes(obj["iv"], IV_BYTES)
         body = hex_bytes(obj["body"])
-    except DecodeError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DecodeError(f"malformed message ciphertext: {exc}") from None
     if not body or len(body) % 16:
         raise DecodeError("body must be a positive multiple of the block size")
@@ -366,14 +372,25 @@ def payload_bytes(st, ct_msg):
     return canonical_json({"st": st_to_json(st), "ct": ct_to_json(ct_msg)})
 
 
-def payload_from_bytes(ctx, data):
+def _payload_parts(data):
     try:
         obj = json.loads(data.decode("utf-8"))
-        return st_from_json(ctx, obj["st"]), ct_from_json(obj["ct"])
-    except DecodeError:
-        raise
+        return obj["st"], obj["ct"]
     except (KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
         raise DecodeError(f"malformed payload: {exc}") from None
+
+
+def payload_from_bytes(ctx, data):
+    """Strict decode, every curve point included: the devices' decoder."""
+    st_obj, ct_obj = _payload_parts(data)
+    return st_from_json(ctx, st_obj), ct_from_json(ct_obj)
+
+
+def check_payload_shape(ctx, data):
+    """The shape step of payload_from_bytes alone, for relays."""
+    st_obj, ct_obj = _payload_parts(data)
+    _st_shape(ctx, st_obj)
+    ct_from_json(ct_obj)
 
 
 # ---------------------------------------------------------------------------

@@ -314,8 +314,3 @@ class GroupContext:
 
     def __repr__(self):
         return f"GroupContext({self.profile.value})"
-
-
-def group_setup(profile):
-    """Instantiate the bilinear group setting for a profile."""
-    return GroupContext(profile)

@@ -1,9 +1,10 @@
 """Permissioned proof-of-authority ledger for signcrypted payloads.
 
-Blocks carry at most one record.  A record binds a publisher pseudonym
-to one signcrypted payload via two digests: publisher_pk_digest (SHA-256
-of the publisher's serialized verification key) and payload_digest
-(SHA-256 of the canonical payload bytes).  The block hash is
+Blocks carry at most one record, (publisher_pk_digest, pseudo_id,
+payload_digest, payload): it binds a publisher pseudonym to one
+signcrypted payload, whose bytes the ledger shape-checks but never
+decodes, via SHA-256 digests of the publisher's serialized verification
+key and of the payload bytes.  The block hash is
 
     SHA-256( index_8be || prev_hash || proposer_id_16 || timestamp_8be
              || payload_digest )
@@ -14,11 +15,13 @@ slot_seconds and leader(slot) = sorted_ids[slot % n]; at most one block
 per slot, and a child block must land in a strictly later slot than its
 parent (genesis sits in slot 0).
 
-Persistence is JSON lines, one block per line, each line carrying the
+Persistence is JSON lines in the canonical block form the wire also
+uses (payload as hex), one block per line, each line carrying the
 block's own hash so that mutations of the newest block are detectable
-without a successor.  Verification returns the index of the first bad
-block; a checkpoint starts a fresh chain whose genesis embeds the old
-tip hash in its prev_hash field.
+without a successor; save_block appends a line to a save_chain file.
+Verification returns the index of the first bad block; a checkpoint
+starts a fresh chain whose genesis embeds the old tip hash in its
+prev_hash field.
 
 Quorum is configuration only: approvals are collected and counted by
 the harness off-chain and never enter the hashed block bytes.
@@ -26,7 +29,6 @@ the harness off-chain and never enter the hashed block bytes.
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, replace
 
 from . import absc
@@ -54,8 +56,7 @@ class Record:
     publisher_pk_digest: bytes
     pseudo_id: str
     payload_digest: bytes
-    st: object
-    ct_msg: object
+    payload: bytes  # canonical payload bytes, opaque to the ledger
 
 
 @dataclass(frozen=True)
@@ -93,20 +94,23 @@ class ValidatorSet:
 
 
 def _check_pseudo_id(pid):
-    return (isinstance(pid, str) and len(pid) == 32
-            and all(c in "0123456789abcdef" for c in pid))
+    try:
+        absc.hex_bytes(pid, 16)
+    except DecodeError:
+        return False
+    return True
 
 
 def make_record(pseudo_id, key_ver, st, ct_msg):
-    """Build a record for one signcrypted payload."""
+    """Build a record for one signcrypted payload; encodes it once."""
     if not _check_pseudo_id(pseudo_id):
         raise ValueError("pseudo id must be 32 lowercase hex chars")
+    payload = absc.payload_bytes(st, ct_msg)
     return Record(
         publisher_pk_digest=hashlib.sha256(key_ver.key_ver.to_bytes()).digest(),
         pseudo_id=pseudo_id,
-        payload_digest=hashlib.sha256(absc.payload_bytes(st, ct_msg)).digest(),
-        st=st,
-        ct_msg=ct_msg,
+        payload_digest=hashlib.sha256(payload).digest(),
+        payload=payload,
     )
 
 
@@ -143,7 +147,7 @@ def validate_record(record, registry):
 
     registry maps publisher pseudo ids to serialized verification keys
     (hex).  Cryptographic verification is the receiving device's job;
-    validators only check digests and registration.
+    validators check registration, digests and (in record_from_json) shape.
     """
     if not isinstance(record, Record) or not _check_pseudo_id(record.pseudo_id):
         return REJECT_BAD_PSEUDO_ID
@@ -152,8 +156,7 @@ def validate_record(record, registry):
         return REJECT_UNREGISTERED
     if hashlib.sha256(bytes.fromhex(key_ver_hex)).digest() != record.publisher_pk_digest:
         return REJECT_PK_DIGEST
-    digest = hashlib.sha256(absc.payload_bytes(record.st, record.ct_msg)).digest()
-    if digest != record.payload_digest:
+    if hashlib.sha256(record.payload).digest() != record.payload_digest:
         return REJECT_PAYLOAD_DIGEST
     return None
 
@@ -223,37 +226,30 @@ def record_to_json(record):
         "publisher_pk_digest": record.publisher_pk_digest.hex(),
         "pseudo_id": record.pseudo_id,
         "payload_digest": record.payload_digest.hex(),
-        "st": absc.st_to_json(record.st),
-        "ct": absc.ct_to_json(record.ct_msg),
+        "payload": record.payload.hex(),
     }
 
 
 def record_from_json(ctx, obj):
+    """Decode a record; the payload gets a shape check, no curve math."""
     try:
-        st = absc.st_from_json(ctx, obj["st"])
-        ct_msg = absc.ct_from_json(obj["ct"])
+        payload = absc.hex_bytes(obj["payload"])
         pk_digest = absc.hex_bytes(obj["publisher_pk_digest"], 32)
         payload_digest = absc.hex_bytes(obj["payload_digest"], 32)
         pseudo_id = obj["pseudo_id"]
-    except DecodeError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DecodeError(f"malformed record: {exc}") from None
     if not _check_pseudo_id(pseudo_id):
         raise DecodeError("bad pseudo id")
-    return Record(pk_digest, pseudo_id, payload_digest, st, ct_msg)
+    absc.check_payload_shape(ctx, payload)
+    return Record(pk_digest, pseudo_id, payload_digest, payload)
 
 
 def block_to_json(block):
-    h = block.header
-    out = {
-        "index": h.index,
-        "prev_hash": h.prev_hash.hex(),
-        "proposer": h.proposer,
-        "timestamp": h.timestamp,
-        "record": record_to_json(block.record) if block.record else None,
-        "hash": (block.declared_hash or block_hash(block)).hex(),
-    }
+    """Canonical block form: the header with the record in place of its digest."""
+    out = header_to_json(block)
+    del out["payload_digest"]
+    out["record"] = record_to_json(block.record) if block.record else None
     return out
 
 
@@ -267,9 +263,7 @@ def block_from_json(ctx, obj):
         )
         record = record_from_json(ctx, obj["record"]) if obj.get("record") else None
         declared = absc.hex_bytes(obj["hash"], 32)
-    except DecodeError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DecodeError(f"malformed block: {exc}") from None
     if not isinstance(header.index, int) or not 0 <= header.index < 1 << 63:
         raise DecodeError("bad block index")
@@ -314,6 +308,12 @@ def save_chain(path, chain):
             fh.write(_canonical_line(block) + b"\n")
 
 
+def save_block(path, block):
+    """Append one block to a chain file written by save_chain."""
+    with open(path, "ab") as fh:
+        fh.write(_canonical_line(block) + b"\n")
+
+
 def load_chain(path, ctx):
     chain = []
     with open(path, "rb") as fh:
@@ -332,7 +332,3 @@ def load_chain(path, ctx):
             raise ChainLoadError("line is not the canonical block encoding", i)
         chain.append(block)
     return chain
-
-
-def current_slot(vset, clock=time.time):
-    return slot_of(clock(), vset.slot_seconds)

@@ -9,11 +9,13 @@ exactly the devices whose attributes satisfy its policy:
   * ValidatorNode: accepts publisher records over HTTP, validates them
     structurally, and seals one block per slot when it holds the slot.
   * EdgeNode: follows the validator chain block by block (re-running the
-    full append checks), caches payload bytes, serves them to devices,
-    and optionally pushes new headers or full payloads to devices.
-  * DeviceNode: receives headers (push) or polls (pull), enforces the
-    freshness window, checks the payload digest against the header, and
-    designcrypts.  Non-satisfying payloads are silently ignored; a
+    full append checks), caches the payload each block carries (no second
+    fetch; it refetches only to heal a corrupted cache), serves it to
+    devices, and optionally pushes new headers or full payloads to them.
+  * DeviceNode: receives headers (push) or polls blocks (pull), enforces
+    the freshness window, checks the payload digest against the header,
+    strictly decodes the payload (no other role decodes curve points),
+    and designcrypts.  Non-satisfying payloads are silently ignored; a
     satisfying payload that fails verification raises an integrity
     alarm event.
 
@@ -58,33 +60,27 @@ class ManualClock:
         self.now = float(t)
 
 
-def _rand_bytes(rng, n):
-    return rng.getrandbits(8 * n).to_bytes(n, "big")
-
-
 # ---------------------------------------------------------------------------
 # HTTP plumbing
 
-def http_get(url, timeout=5.0, retries=3):
-    last = None
+def _with_retries(send, retries):
+    """Call send() up to `retries` times, backing off between attempts."""
     for attempt in range(retries):
         try:
-            return requests.get(url, timeout=timeout)
-        except requests.RequestException as exc:
-            last = exc
+            return send()
+        except requests.RequestException:
+            if attempt == retries - 1:
+                raise
             time.sleep(0.1 * (2 ** attempt))
-    raise last
+
+
+def http_get(url, timeout=5.0, retries=3):
+    return _with_retries(lambda: requests.get(url, timeout=timeout), retries)
 
 
 def http_post_json(url, obj, timeout=5.0, retries=3):
-    last = None
-    for attempt in range(retries):
-        try:
-            return requests.post(url, json=obj, timeout=timeout)
-        except requests.RequestException as exc:
-            last = exc
-            time.sleep(0.1 * (2 ** attempt))
-    raise last
+    return _with_retries(
+        lambda: requests.post(url, json=obj, timeout=timeout), retries)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -243,10 +239,8 @@ class ValidatorNode(NodeService, _ChainReader):
         self._lock = threading.Lock()
 
     def payload_for(self, idx):
-        block = self.chain[idx]
-        if block.record is None:
-            return None
-        return absc.payload_bytes(block.record.st, block.record.ct_msg)
+        record = self.chain[idx].record
+        return record.payload if record else None
 
     def handle(self, method, path, body):
         routed = self._chain_routes(method, path)
@@ -255,10 +249,9 @@ class ValidatorNode(NodeService, _ChainReader):
         if method == "POST" and urlparse(path).path == "/records":
             try:
                 record = ledger.record_from_json(self.ctx, body)
+                reason = ledger.validate_record(record, self.registry)
             except DecodeError as exc:
-                self.event("record-rejected", reason=f"structure: {exc}")
-                return 400, {"status": "rejected", "reason": f"structure: {exc}"}
-            reason = ledger.validate_record(record, self.registry)
+                reason = f"structure: {exc}"
             if reason is not None:
                 self.event("record-rejected", reason=reason)
                 return 400, {"status": "rejected", "reason": reason}
@@ -291,8 +284,10 @@ class ValidatorNode(NodeService, _ChainReader):
         # the proposer's own signature meets the default quorum of one
         self.event("block-appended", index=block.header.index, slot=slot,
                    approvals=self.vset.quorum)
-        if self.store_path:
+        if self.store_path and len(self.chain) == 2:  # first seal: a fresh file
             ledger.save_chain(self.store_path, self.chain)
+        elif self.store_path:
+            ledger.save_block(self.store_path, block)
 
 
 class EdgeNode(NodeService, _ChainReader):
@@ -326,18 +321,15 @@ class EdgeNode(NodeService, _ChainReader):
         if data is None or hashlib.sha256(data).digest() != expected:
             if data is not None:
                 self.event("cache-integrity", index=idx)
-            data = self._fetch_payload(idx)
-            if data is None or hashlib.sha256(data).digest() != expected:
+            try:
+                resp = http_get(f"{self.upstream}/chain/block/{idx}/payload")
+            except requests.RequestException:
+                return None
+            data = resp.content
+            if resp.status_code != 200 or hashlib.sha256(data).digest() != expected:
                 return None
             self.cache[idx] = data
         return data
-
-    def _fetch_payload(self, idx):
-        try:
-            resp = http_get(f"{self.upstream}/chain/block/{idx}/payload")
-        except requests.RequestException:
-            return None
-        return resp.content if resp.status_code == 200 else None
 
     def tick(self):
         self.sync_once()
@@ -362,22 +354,18 @@ class EdgeNode(NodeService, _ChainReader):
                 # refuse the block and resync from the last verified index
                 self.event("sync-rejected", index=idx, reason=reason)
                 return
-            data = self._fetch_payload(idx)
-            if data is None or hashlib.sha256(data).digest() != block.record.payload_digest:
-                self.chain.pop()
-                self.event("payload-fetch-failed", index=idx)
-                return
-            self.cache[idx] = data
+            # append_block checked the carried payload against its digest
+            self.cache[idx] = block.record.payload
             self.event("block-synced", index=idx)
-            self._push(block, data)
+            self._push(block)
 
-    def _push(self, block, payload):
+    def _push(self, block):
         note = {"header": ledger.header_to_json(block),
                 "publisher": block.record.pseudo_id}
         for url, mode in self.push_targets:
             body = dict(note)
             if mode == "payload":
-                body["payload"] = payload.hex()
+                body["payload"] = block.record.payload.hex()
             try:
                 http_post_json(f"{url}/push", body)
             except requests.RequestException:
@@ -437,8 +425,12 @@ class DeviceNode(NodeService):
                 header = {k: obj.get(k) for k in
                           ("index", "prev_hash", "proposer", "timestamp")}
                 header["payload_digest"] = record.get("payload_digest")
-                if self.receive(header, record.get("pseudo_id"), None) == "fetch-failed":
-                    return  # retry the same index next tick
+                try:
+                    payload = absc.hex_bytes(record.get("payload"))
+                except DecodeError:
+                    self.event("integrity-alarm", index=idx, detail="bad-payload-hex")
+                else:
+                    self.receive(header, record.get("pseudo_id"), payload)
             self._pull_next = idx + 1
 
     def _verification_key(self, publisher):
@@ -518,7 +510,7 @@ class TrustedAuthority:
 
     def _new_pseudo_id(self):
         while True:
-            pid = _rand_bytes(self.rng, 16).hex()
+            pid = absc._rand_bytes(self.rng, 16).hex()
             if pid not in self.directory and pid != ledger.ZERO_ID:
                 return pid
 

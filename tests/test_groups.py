@@ -8,7 +8,7 @@ import pytest
 import oracles
 from policycast import pairing as pr
 from policycast.groups import (ConfigurationError, DecodeError, GroupContext,
-                               GroupMismatchError, Scalar, group_setup)
+                               GroupMismatchError, Scalar)
 
 # frozen first-build serializations; any engine change that moves these
 # is a compatibility break, not a refactor
@@ -39,7 +39,7 @@ def ctx(request):
 
 
 def test_profile_construction():
-    assert group_setup("SYMMETRIC_512").symmetric
+    assert GroupContext("SYMMETRIC_512").symmetric
     assert not GroupContext("ASYMMETRIC_159").symmetric
     with pytest.raises(ConfigurationError):
         GroupContext("NO_SUCH_PROFILE")

@@ -128,12 +128,13 @@ def test_record_validation(material):
 
 
 def test_make_record_checks_pseudo_id(material):
-    _, record, _ = material
+    ctx, record, _ = material
     with pytest.raises(ValueError):
         ledger.make_record("xyz", None, None, None)
     # digest commits to the canonical payload bytes
-    assert record.payload_digest == hashlib.sha256(
-        absc.payload_bytes(record.st, record.ct_msg)).digest()
+    assert record.payload_digest == hashlib.sha256(record.payload).digest()
+    st, ct = absc.payload_from_bytes(ctx, record.payload)
+    assert absc.payload_bytes(st, ct) == record.payload
 
 
 # ---------------------------------------------------------------------------

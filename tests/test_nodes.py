@@ -5,8 +5,10 @@ import json
 import random
 
 import pytest
+import requests
 
-from policycast import absc, ledger
+from policycast import absc, ledger, nodes
+from policycast.groups import DecodeError, GroupContext
 from policycast.nodes import (DeviceNode, EdgeNode, ManualClock,
                               TrustedAuthority, ValidatorNode, http_get,
                               http_post_json, publish_message)
@@ -153,6 +155,28 @@ def test_pull_mode(authority, stack_factory):
                for e in stack.devices["other"].events)
 
 
+def test_pull_alarms_on_bad_payload_hex(authority, stack_factory, monkeypatch):
+    ta, bundles = authority
+    stack = stack_factory(pull=True)
+    stack.publish(ta, bundles)
+    stack.seal_next_slot()
+    stack.edge.sync_once()
+    real = ledger.block_to_json
+
+    def recased(block):  # a relay serving non-canonical payload hex
+        out = real(block)
+        if out["record"]:
+            out["record"]["payload"] = out["record"]["payload"].upper()
+        return out
+
+    monkeypatch.setattr(ledger, "block_to_json", recased)
+    match = stack.devices["match"]
+    match.tick()
+    assert match.accepted == []
+    assert [e.get("detail") for e in match.events
+            if e["event"] == "integrity-alarm"] == ["bad-payload-hex"]
+
+
 def test_edge_resyncs_a_gap(authority, stack_factory):
     ta, bundles = authority
     stack = stack_factory()
@@ -213,7 +237,7 @@ def test_chain_read_endpoints(authority, stack_factory):
     assert ledger.block_from_json(ta.ctx, blk) == tip
 
     raw = http_get(f"{stack.validator.url}/chain/block/1/payload").content
-    assert raw == absc.payload_bytes(tip.record.st, tip.record.ct_msg)
+    assert raw == tip.record.payload
     assert hashlib.sha256(raw).digest() == tip.record.payload_digest
 
     assert http_get(f"{stack.validator.url}/chain/block/9").status_code == 404
@@ -222,6 +246,35 @@ def test_chain_read_endpoints(authority, stack_factory):
     assert http_get(f"{stack.validator.url}/chain/headers?from=zz"
                     ).status_code == 400
     assert http_get(f"{stack.validator.url}/nope").status_code == 404
+
+
+def signcrypted_parts(ta, bundles, msg=MESSAGE, seed=31):
+    """The publisher's signcrypted payload as its two JSON parts."""
+    sk = absc.SigningKey(ta.ctx.deserialize_element(
+        bytes.fromhex(bundles["sp"]["key_sign"]), "s2"))
+    st, ct = absc.signcrypt(ta.pp, sk, msg, POLICY, random.Random(seed))
+    return absc.st_to_json(st), absc.ct_to_json(ct)
+
+
+def record_for(bundles, st_obj, ct_obj):
+    """The registered publisher's record over any payload JSON, digests intact."""
+    sp = bundles["sp"]
+    payload = absc.canonical_json({"st": st_obj, "ct": ct_obj})
+    return ledger.Record(hashlib.sha256(bytes.fromhex(sp["key_ver"])).digest(),
+                         sp["pseudo_id"], hashlib.sha256(payload).digest(), payload)
+
+
+def off_curve(ctx, point_hex):
+    """An encoding with the same tag and width whose x is not on the curve."""
+    data = bytes.fromhex(point_hex)
+    for x in range(1, 1000):
+        bent = data[:1] + x.to_bytes(len(data) - 1, "big")
+        try:
+            ctx.deserialize_element(bent, "s1")
+        except DecodeError as exc:
+            if "not on the curve" in str(exc):
+                return bent.hex()
+    raise AssertionError("no off-curve x below 1000")
 
 
 def test_validator_rejects_bad_records(authority, stack_factory):
@@ -240,7 +293,106 @@ def test_validator_rejects_bad_records(authority, stack_factory):
     resp = http_post_json(f"{stack.validator.url}/records", {"st": 1})
     assert resp.status_code == 400
     assert resp.json()["reason"].startswith("structure:")
+
+    # payload shape: a point one byte short, a missing key (digests intact)
+    st_obj, ct_obj = signcrypted_parts(ta, bundles)
+    short_point = dict(st_obj, c=st_obj["c"][:-2])
+    missing_key = {k: v for k, v in st_obj.items() if k != "w"}
+    for bad_st in (short_point, missing_key):
+        resp = http_post_json(f"{stack.validator.url}/records",
+                              ledger.record_to_json(record_for(bundles, bad_st, ct_obj)))
+        assert resp.status_code == 400
+        assert resp.json()["reason"].startswith("structure:")
     assert len(stack.validator.pending) == 0
+
+
+def test_relays_never_decode_curve_points(authority, stack_factory, tmp_path,
+                                          monkeypatch):
+    ta, bundles = authority
+    stack = stack_factory()
+    stack.validator.store_path = tmp_path / "chain.jsonl"
+    record = record_for(bundles, *signcrypted_parts(ta, bundles))
+    calls = []
+    real = GroupContext.deserialize_element
+
+    def counting(self, data, group):
+        calls.append(group)
+        return real(self, data, group)
+
+    monkeypatch.setattr(GroupContext, "deserialize_element", counting)
+    resp = http_post_json(f"{stack.validator.url}/records",
+                          ledger.record_to_json(record))
+    assert resp.json() == {"status": "accepted"}
+    stack.seal_next_slot()
+    stack.edge.sync_once()
+    assert stack.edge.chain == stack.validator.chain
+    loaded = ledger.load_chain(stack.validator.store_path, ta.ctx)
+    assert loaded == stack.validator.chain
+    assert calls == []
+    # the counter is live: the device is the one strict decoder
+    header = ledger.header_to_json(stack.edge.chain[1])
+    match = stack.devices["match"]
+    assert match.receive(header, record.pseudo_id, record.payload) == "accepted"
+    assert calls
+
+
+def test_off_curve_point_passes_relays_and_alarms_devices(authority, stack_factory):
+    ta, bundles = authority
+    stack = stack_factory(push_mode="payload")
+    st_obj, ct_obj = signcrypted_parts(ta, bundles)
+    st_obj["c"] = off_curve(ta.ctx, st_obj["c"])
+    record = record_for(bundles, st_obj, ct_obj)
+    resp = http_post_json(f"{stack.validator.url}/records",
+                          ledger.record_to_json(record))
+    assert resp.json() == {"status": "accepted"}
+    assert stack.seal_next_slot().record == record
+    stack.edge.sync_once()
+    assert len(stack.edge.chain) == 2
+    for dev in stack.devices.values():
+        assert dev.accepted == []
+        alarms = [e["detail"] for e in dev.events if e["event"] == "integrity-alarm"]
+        assert len(alarms) == 1 and alarms[0].startswith("decode:"), alarms
+
+
+def test_validator_appends_each_sealed_block(authority, stack_factory, tmp_path,
+                                             monkeypatch):
+    ta, bundles = authority
+    stack = stack_factory()
+    path = tmp_path / "chain.jsonl"
+    stack.validator.store_path = path
+    modes = []
+    real_open = open
+
+    def spy(file, mode="r", *args, **kwargs):
+        if str(file) == str(path):
+            modes.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(ledger, "open", spy, raising=False)
+    for i in range(5):
+        stack.publish(ta, bundles, msg=b"block %d" % i, seed=100 + i)
+        stack.seal_next_slot()
+    assert len(stack.validator.chain) == 6
+    whole = tmp_path / "whole.jsonl"
+    ledger.save_chain(whole, stack.validator.chain)
+    assert path.read_bytes() == whole.read_bytes()
+    # only the first seal truncates; each later one appends a line
+    assert modes == ["wb", "ab", "ab", "ab", "ab"]
+
+
+def test_http_retries_sleep_only_between_attempts(monkeypatch):
+    attempts, sleeps = [], []
+
+    def refuse(url, **kwargs):
+        attempts.append(url)
+        raise requests.ConnectionError("refused")
+
+    monkeypatch.setattr(nodes.requests, "get", refuse)
+    monkeypatch.setattr(nodes.time, "sleep", sleeps.append)
+    with pytest.raises(requests.ConnectionError):
+        http_get("http://127.0.0.1:9/chain/head", retries=3)
+    assert len(attempts) == 3
+    assert sleeps == [0.1, 0.2]
 
 
 # ---------------------------------------------------------------------------
