@@ -7,7 +7,7 @@
                           --policy TEXT (--text MSG | --message-file F)
     policycast sp run --bundle F --public F --listen H:P [--store F]
     policycast ed run --public F --validator URL --listen H:P
-                      [--push URL ...] [--push-payloads]
+                      [--push URL ...]
     policycast sd run --bundle F --public F --listen H:P [--source URL]
                       [--pull] [--freshness N] [--events F] [--accept-dir D]
     policycast bench [--profiles a,b] [--ops a,b] [--counts LO:HI]
@@ -17,6 +17,9 @@
 Key handoff is by local file: `ta register` writes the entity's private
 bundle, `ta init` writes the shareable public bundle next to the
 authority state.  Configuration files are JSON.
+
+The edge pushes each new block, as the canonical block JSON, to every
+--push device; a device run with --pull polls its --source instead.
 """
 
 import argparse
@@ -51,7 +54,7 @@ def _public_context(public_path):
     pub = _load_json(public_path)
     pp = absc.public_params_from_json(pub["pk"])
     from .ledger import ValidatorSet
-    vset = ValidatorSet(tuple(pub["validators"]), quorum=pub.get("quorum", 1),
+    vset = ValidatorSet(tuple(pub["validators"]),
                         slot_seconds=pub["slot_seconds"])
     return pub, pp, vset
 
@@ -85,8 +88,7 @@ def _serve_forever(node, events_path=None, accept_dir=None):
 def cmd_ta_init(args):
     rng = random.Random(args.seed) if args.seed is not None else None
     ta = nodes.TrustedAuthority(args.profile, rng,
-                                slot_seconds=args.slot_seconds,
-                                quorum=args.quorum)
+                                slot_seconds=args.slot_seconds)
     os.makedirs(args.dir, exist_ok=True)
     _dump_json(os.path.join(args.dir, "ta_state.json"), ta.state_to_json())
     _dump_json(os.path.join(args.dir, "public.json"), ta.public_bundle())
@@ -147,8 +149,7 @@ def cmd_sp_run(args):
 def cmd_ed_run(args):
     pub, pp, vset = _public_context(args.public)
     host, port = _split_listen(args.listen)
-    mode = "payload" if args.push_payloads else "header"
-    targets = [(u, mode) for u in (args.push or [])]
+    targets = [(u, "payload") for u in (args.push or [])]
     node = nodes.EdgeNode("edge", pp.ctx, vset, pub["publishers"],
                           args.validator, push_targets=targets)
     node.start(host, port)
@@ -216,7 +217,6 @@ def build_parser():
     p.add_argument("--dir", required=True)
     p.add_argument("--profile", default="SYMMETRIC_512")
     p.add_argument("--slot-seconds", type=int, default=15)
-    p.add_argument("--quorum", type=int, default=1)
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_ta_init)
     p = ta.add_parser("register")
@@ -256,7 +256,6 @@ def build_parser():
     p.add_argument("--validator", required=True)
     p.add_argument("--listen", required=True)
     p.add_argument("--push", action="append")
-    p.add_argument("--push-payloads", action="store_true")
     p.set_defaults(fn=cmd_ed_run)
 
     p = sub.add_parser("sd").add_subparsers(dest="sd_command", required=True).add_parser("run")

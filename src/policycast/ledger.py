@@ -22,9 +22,6 @@ without a successor; save_block appends a line to a save_chain file.
 Verification returns the index of the first bad block; a checkpoint
 starts a fresh chain whose genesis embeds the old tip hash in its
 prev_hash field.
-
-Quorum is configuration only: approvals are collected and counted by
-the harness off-chain and never enter the hashed block bytes.
 """
 
 import hashlib
@@ -80,14 +77,11 @@ class Block:
 @dataclass(frozen=True)
 class ValidatorSet:
     pseudo_ids: tuple
-    quorum: int = 1
     slot_seconds: int = 15
 
     def __post_init__(self):
         if not self.pseudo_ids:
             raise ValueError("validator set must be non-empty")
-        if not 1 <= self.quorum <= len(self.pseudo_ids):
-            raise ValueError("quorum out of range")
         if self.slot_seconds <= 0:
             raise ValueError("slot_seconds must be positive")
         object.__setattr__(self, "pseudo_ids", tuple(sorted(self.pseudo_ids)))

@@ -9,23 +9,21 @@ exactly the devices whose attributes satisfy its policy:
   * ValidatorNode: accepts publisher records over HTTP, validates them
     structurally, and seals one block per slot when it holds the slot.
   * EdgeNode: follows the validator chain block by block (re-running the
-    full append checks), caches the payload each block carries (no second
-    fetch; it refetches only to heal a corrupted cache), serves it to
-    devices, and optionally pushes new headers or full payloads to them.
-  * DeviceNode: receives headers (push) or polls blocks (pull), enforces
-    the freshness window, checks the payload digest against the header,
-    strictly decodes the payload (no other role decodes curve points),
-    and designcrypts.  Non-satisfying payloads are silently ignored; a
-    satisfying payload that fails verification raises an integrity
-    alarm event.
+    full append checks), serves it to pulling devices, and pushes each
+    new block to its push targets.
+  * DeviceNode: ingests blocks in the canonical block JSON, pushed by the
+    edge or pulled from it; enforces the freshness window, checks the
+    payload digest against the header, strictly decodes the payload (no
+    other role decodes curve points), and designcrypts.  Non-satisfying
+    payloads are silently ignored; a satisfying payload that fails
+    verification raises an integrity alarm event.
 
-Wire format is JSON over HTTP; every server keeps a wire log of request
-and response bodies so tests can assert that no real identity ever
-appears in protocol traffic.
+Wire format is JSON over HTTP; a request body may be at most MAX_BODY
+bytes.  A block travels in one form, ledger.block_to_json, with its
+payload as hex: the body of GET /chain/block/N and of POST /push alike.
 
-Endpoints:  GET /chain/head, GET /chain/headers?from=N,
-GET /chain/block/N, GET /chain/block/N/payload, POST /records
-(validator), POST /push (device).
+Endpoints:  GET /chain/head, GET /chain/block/N (validator, edge),
+POST /records (validator), POST /push (device).
 """
 
 import hashlib
@@ -35,7 +33,7 @@ import threading
 import time
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import urlparse
 
 import requests
 
@@ -83,6 +81,11 @@ def http_post_json(url, obj, timeout=5.0, retries=3):
         lambda: requests.post(url, json=obj, timeout=timeout), retries)
 
 
+# A message's ciphertext is hex inside the payload, and the payload is hex
+# inside the block JSON: 64 MiB carries a message of up to ~16 MB.
+MAX_BODY = 64 << 20
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
@@ -90,28 +93,33 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _run(self, method):
-        node = self.server.node
         body = None
         if method == "POST":
             try:
                 n = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                n = -1
+            if n < 0 or n > MAX_BODY:
+                # the body stays unread, so the connection cannot be reused
+                self.close_connection = True
+                if n < 0:
+                    self._reply(400, {"error": "bad-length"})
+                else:
+                    self._reply(413, {"error": "body-too-large"})
+                return
+            try:
                 body = json.loads(self.rfile.read(n)) if n else None
             except (ValueError, UnicodeDecodeError):
                 self._reply(400, {"error": "bad-json"})
                 return
-        node.wire_log.append({"dir": "in", "method": method,
-                              "path": self.path, "body": body})
         try:
-            status, payload = node.handle(method, self.path, body)
+            status, payload = self.server.node.handle(method, self.path, body)
         except Exception as exc:  # noqa: BLE001 - keep the server alive
             status, payload = 500, {"error": f"internal: {exc}"}
         self._reply(status, payload)
 
     def _reply(self, status, payload):
-        raw = payload if isinstance(payload, bytes) else absc.canonical_json(payload)
-        self.server.node.wire_log.append({
-            "dir": "out", "path": self.path, "status": status,
-            "body": raw.decode("utf-8", "replace")})
+        raw = absc.canonical_json(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
@@ -132,7 +140,6 @@ class NodeService:
 
     def __init__(self, name):
         self.name = name
-        self.wire_log = []
         self.events = []
         self._server = None
         self._threads = []
@@ -169,11 +176,15 @@ class NodeService:
                 self.event("loop-error", error=str(exc))
 
     def stop(self):
+        """Stop serving and wait for the loop to finish its current tick."""
         self._stop.set()
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
             self._server = None
+        for t in self._threads:
+            t.join()
+        self._threads = []
 
     @property
     def url(self):
@@ -183,41 +194,27 @@ class NodeService:
         return 404, {"error": "not-found"}
 
 
-_BLOCK_RE = re.compile(r"^/chain/block/(\d+)(/payload)?$")
+_BLOCK_RE = re.compile(r"^/chain/block/(\d+)$")
 
 
 class _ChainReader:
     """GET routes shared by validator and edge nodes."""
 
     def _chain_routes(self, method, path):
-        parsed = urlparse(path)
         if method != "GET":
             return None
-        if parsed.path == "/chain/head":
+        path = urlparse(path).path
+        if path == "/chain/head":
             tip = self.chain[-1]
             return 200, {"index": tip.header.index,
                          "hash": ledger.block_hash(tip).hex(),
                          "header": ledger.header_to_json(tip)}
-        if parsed.path == "/chain/headers":
-            try:
-                start = int(parse_qs(parsed.query).get("from", ["0"])[0])
-            except ValueError:
-                return 400, {"error": "bad-from"}
-            if start < 0:
-                start = 0
-            return 200, {"headers": [ledger.header_to_json(b)
-                                     for b in self.chain[start:]]}
-        m = _BLOCK_RE.match(parsed.path)
+        m = _BLOCK_RE.match(path)
         if m:
             idx = int(m.group(1))
             if idx >= len(self.chain):
                 return 404, {"error": "not-found"}
-            if not m.group(2):
-                return 200, ledger.block_to_json(self.chain[idx])
-            data = self.payload_for(idx)
-            if data is None:
-                return 404, {"error": "no-payload"}
-            return 200, data
+            return 200, ledger.block_to_json(self.chain[idx])
         return None
 
 
@@ -237,10 +234,6 @@ class ValidatorNode(NodeService, _ChainReader):
         self.pending = deque()
         self._last_slot = ledger.slot_of(0, vset.slot_seconds)
         self._lock = threading.Lock()
-
-    def payload_for(self, idx):
-        record = self.chain[idx].record
-        return record.payload if record else None
 
     def handle(self, method, path, body):
         routed = self._chain_routes(method, path)
@@ -280,10 +273,7 @@ class ValidatorNode(NodeService, _ChainReader):
         if reason is not None:
             self.event("append-rejected", reason=reason, index=block.header.index)
             return
-        # quorum approvals are collected off-chain; with a solo validator
-        # the proposer's own signature meets the default quorum of one
-        self.event("block-appended", index=block.header.index, slot=slot,
-                   approvals=self.vset.quorum)
+        self.event("block-appended", index=block.header.index, slot=slot)
         if self.store_path and len(self.chain) == 2:  # first seal: a fresh file
             ledger.save_chain(self.store_path, self.chain)
         elif self.store_path:
@@ -291,7 +281,11 @@ class ValidatorNode(NodeService, _ChainReader):
 
 
 class EdgeNode(NodeService, _ChainReader):
-    """Relay: follows the validator chain, caches payloads, serves devices."""
+    """Relay: follows the validator chain, serves it, pushes new blocks.
+
+    push_targets lists (device url, "payload") pairs; "payload" is the
+    only mode, and the pair form is kept for the benchmark harness.
+    """
 
     def __init__(self, name, ctx, vset, registry, upstream,
                  push_targets=None, clock=time.time):
@@ -300,36 +294,19 @@ class EdgeNode(NodeService, _ChainReader):
         self.vset = vset
         self.registry = dict(registry)
         self.upstream = upstream
-        # push targets: (url, "header" | "payload")
-        self.push_targets = list(push_targets or [])
+        self.push_targets = []  # device urls
+        for url, mode in push_targets or ():
+            if mode != "payload":
+                raise ValueError(f"unknown push mode {mode!r}")
+            self.push_targets.append(url)
         self.clock = clock
         self.chain = [ledger.genesis()]
-        self.cache = {}
 
     def handle(self, method, path, body):
         routed = self._chain_routes(method, path)
         if routed is not None:
             return routed
         return 404, {"error": "not-found"}
-
-    def payload_for(self, idx):
-        block = self.chain[idx]
-        if block.record is None:
-            return None
-        data = self.cache.get(idx)
-        expected = block.record.payload_digest
-        if data is None or hashlib.sha256(data).digest() != expected:
-            if data is not None:
-                self.event("cache-integrity", index=idx)
-            try:
-                resp = http_get(f"{self.upstream}/chain/block/{idx}/payload")
-            except requests.RequestException:
-                return None
-            data = resp.content
-            if resp.status_code != 200 or hashlib.sha256(data).digest() != expected:
-                return None
-            self.cache[idx] = data
-        return data
 
     def tick(self):
         self.sync_once()
@@ -354,18 +331,12 @@ class EdgeNode(NodeService, _ChainReader):
                 # refuse the block and resync from the last verified index
                 self.event("sync-rejected", index=idx, reason=reason)
                 return
-            # append_block checked the carried payload against its digest
-            self.cache[idx] = block.record.payload
             self.event("block-synced", index=idx)
             self._push(block)
 
     def _push(self, block):
-        note = {"header": ledger.header_to_json(block),
-                "publisher": block.record.pseudo_id}
-        for url, mode in self.push_targets:
-            body = dict(note)
-            if mode == "payload":
-                body["payload"] = block.record.payload.hex()
+        body = ledger.block_to_json(block)
+        for url in self.push_targets:
             try:
                 http_post_json(f"{url}/push", body)
             except requests.RequestException:
@@ -395,16 +366,9 @@ class DeviceNode(NodeService):
 
     def handle(self, method, path, body):
         if method == "POST" and urlparse(path).path == "/push":
-            if not isinstance(body, dict) or "header" not in body:
+            if not isinstance(body, dict) or not isinstance(body.get("record"), dict):
                 return 400, {"error": "bad-push"}
-            payload = None
-            if body.get("payload") is not None:
-                try:
-                    payload = bytes.fromhex(body["payload"])
-                except (TypeError, ValueError):
-                    return 400, {"error": "bad-payload-hex"}
-            outcome = self.receive(body["header"], body.get("publisher"), payload)
-            return 200, {"status": outcome}
+            return 200, {"status": self.ingest(body)}
         return 404, {"error": "not-found"}
 
     def tick(self):
@@ -420,18 +384,26 @@ class DeviceNode(NodeService):
                 obj = http_get(f"{self.source}/chain/block/{idx}").json()
             except (requests.RequestException, ValueError):
                 return
-            record = obj.get("record")
-            if record:
-                header = {k: obj.get(k) for k in
-                          ("index", "prev_hash", "proposer", "timestamp")}
-                header["payload_digest"] = record.get("payload_digest")
-                try:
-                    payload = absc.hex_bytes(record.get("payload"))
-                except DecodeError:
-                    self.event("integrity-alarm", index=idx, detail="bad-payload-hex")
-                else:
-                    self.receive(header, record.get("pseudo_id"), payload)
+            if isinstance(obj.get("record"), dict):
+                self.ingest(obj)
             self._pull_next = idx + 1
+
+    def ingest(self, block):
+        """Process one block in the canonical block JSON (pushed or pulled).
+
+        block is a dict whose "record" is a dict; returns the outcome.
+        """
+        record = block["record"]
+        header = {k: block.get(k) for k in
+                  ("index", "prev_hash", "proposer", "timestamp")}
+        header["payload_digest"] = record.get("payload_digest")
+        try:
+            payload = absc.hex_bytes(record.get("payload"))
+        except DecodeError:
+            self.event("integrity-alarm", index=block.get("index"),
+                       detail="bad-payload-hex")
+            return "alarm"
+        return self.receive(header, record.get("pseudo_id"), payload)
 
     def _verification_key(self, publisher):
         if publisher not in self._verkeys:
@@ -442,7 +414,7 @@ class DeviceNode(NodeService):
                 self.ctx.deserialize_element(bytes.fromhex(hexkey), "s2"))
         return self._verkeys[publisher]
 
-    def receive(self, header, publisher, payload=None):
+    def receive(self, header, publisher, payload):
         """Process one announced block; returns the outcome string."""
         try:
             index = int(header["index"])
@@ -457,18 +429,6 @@ class DeviceNode(NodeService):
         if index in self.seen:
             self.event("duplicate", index=index)
             return "duplicate"
-        if payload is None:
-            if not self.source:
-                self.event("integrity-alarm", index=index, detail="no-source")
-                return "alarm"
-            try:
-                resp = http_get(f"{self.source}/chain/block/{index}/payload")
-                payload = resp.content if resp.status_code == 200 else None
-            except requests.RequestException:
-                payload = None
-            if payload is None:
-                self.event("fetch-failed", index=index)
-                return "fetch-failed"
         if hashlib.sha256(payload).digest() != digest:
             self.event("integrity-alarm", index=index, detail="payload-digest")
             return "alarm"
@@ -498,12 +458,11 @@ class DeviceNode(NodeService):
 class TrustedAuthority:
     """Key authority; holds the master key and the pseudonym directory."""
 
-    def __init__(self, profile, rng=None, slot_seconds=15, quorum=1):
+    def __init__(self, profile, rng=None, slot_seconds=15):
         self.rng = rng or _SYSTEM_RNG
         self.ctx = GroupContext(profile)
         self.pp, self.mk = absc.setup(self.ctx, self.rng)
         self.slot_seconds = slot_seconds
-        self.quorum = quorum
         self.directory = {}   # pseudo_id -> {real_identity, role, ...}
         self.publishers = {}  # pseudo_id -> key_ver hex
         self.validators = []
@@ -550,7 +509,7 @@ class TrustedAuthority:
         return self.directory[pseudo_id]["real_identity"]
 
     def validator_set(self):
-        return ledger.ValidatorSet(tuple(self.validators), quorum=self.quorum,
+        return ledger.ValidatorSet(tuple(self.validators),
                                    slot_seconds=self.slot_seconds)
 
     def public_bundle(self):
@@ -561,7 +520,6 @@ class TrustedAuthority:
             "publishers": dict(self.publishers),
             "validators": list(self.validators),
             "slot_seconds": self.slot_seconds,
-            "quorum": self.quorum,
         }
 
     # -- persistence (TA-local; the only place real identities are stored)
@@ -570,7 +528,6 @@ class TrustedAuthority:
         return {
             "profile": self.ctx.profile.value,
             "slot_seconds": self.slot_seconds,
-            "quorum": self.quorum,
             "pk": absc.public_params_to_json(self.pp),
             "mk": {"beta": str(self.mk.beta.value),
                    "g2_alpha": self.mk.g2_alpha.to_bytes().hex()},
@@ -591,7 +548,6 @@ class TrustedAuthority:
             Scalar(int(obj["mk"]["beta"]), ta.ctx.p),
             ta.ctx.deserialize_element(bytes.fromhex(obj["mk"]["g2_alpha"]), "s2"))
         ta.slot_seconds = obj["slot_seconds"]
-        ta.quorum = obj.get("quorum", 1)
         ta.directory = dict(obj["directory"])
         ta.publishers = dict(obj["publishers"])
         ta.validators = list(obj["validators"])

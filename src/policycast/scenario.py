@@ -15,9 +15,14 @@ Two execution modes:
   * procs: each node is a separate `policycast` CLI process over real
     HTTP and the real clock (meant for slot_seconds = 1).
 
-Fault injection: "tamper-payload" corrupts the edge cache before devices
-fetch (expect integrity alarms), "stale-replay" re-pushes the block
-after the freshness window (expect a stale rejection).
+Delivery ("push_mode"): "payload" has the edge push each new block to
+every device; "pull" has the devices poll the edge.  Either way a device
+ingests the same canonical block JSON.
+
+Fault injection: "tamper-payload" re-delivers the block with its
+payload corrupted (expect integrity alarms on every device),
+"stale-replay" re-delivers it after the freshness window (expect a
+stale rejection).
 """
 
 import json
@@ -28,6 +33,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 from . import absc, ledger, nodes
 from .groups import GroupContext
@@ -39,7 +45,7 @@ _DEFAULTS = {
     "policy": "alpha and beta",
     "message": "broadcast payload",
     "seed": 20240816,
-    "push_mode": "payload",  # header | payload | pull
+    "push_mode": "payload",  # payload | pull
     "fault": "none",
     "devices": [
         {"name": "sd-match", "attributes": ["alpha", "beta"], "expect": "accepted"},
@@ -79,6 +85,8 @@ class ScenarioResult:
 
 def run_scenario(config=None, mode="threads"):
     cfg = _merged(config)
+    if cfg["push_mode"] not in ("payload", "pull"):
+        raise ValueError(f"unknown push_mode {cfg['push_mode']!r}")
     if mode == "threads":
         return _run_threads(cfg)
     if mode == "procs":
@@ -124,9 +132,8 @@ def _run_threads(cfg):
         for node in devices.values():
             node.start()
             started.append(node)
-        push_targets = []
-        if push_mode in ("header", "payload"):
-            push_targets = [(n.url, push_mode) for n in devices.values()]
+        push_targets = ([] if push_mode == "pull"
+                        else [(n.url, "payload") for n in devices.values()])
         edge = nodes.EdgeNode("edge", ta.ctx, vset, registry, validator.url,
                               push_targets=push_targets, clock=clock)
         edge.start()
@@ -157,7 +164,7 @@ def _run_threads(cfg):
         slots_used = (block_slot - publish_slot + 1) if block_slot else None
 
         if cfg["fault"] == "tamper-payload" and len(validator.chain) >= 2:
-            _fault_tamper(edge, devices, registry)
+            _fault_tamper(edge, devices)
         if cfg["fault"] == "stale-replay" and len(validator.chain) >= 2:
             _fault_replay(cfg, clock, edge, devices, slot_seconds, virtual)
 
@@ -181,7 +188,9 @@ def _run_threads(cfg):
             events.extend(node.events)
         return ScenarioResult(ok, outcomes, events, slots_used)
     finally:
-        for node in started:
+        # stop() waits out the loop's tick; stopping the validator last
+        # keeps the edge's tick from retrying a validator already gone
+        for node in reversed(started):
             node.stop()
 
 
@@ -203,16 +212,20 @@ def _outcome_of(device):
     return "none"
 
 
-def _fault_tamper(edge, devices, registry):
-    # corrupt every cached payload byte 0; devices must raise alarms
-    for idx, data in list(edge.cache.items()):
-        edge.cache[idx] = bytes([data[0] ^ 0xFF]) + data[1:]
-    block = edge.chain[-1]
-    note_header = ledger.header_to_json(block)
+def _redeliver(block, devices):
+    """Deliver block again to every device, as if announced for the first time."""
+    body = ledger.block_to_json(block)
     for node in devices.values():
         node.seen.discard(block.header.index)
-        tampered = edge.cache[block.header.index]
-        node.receive(note_header, block.record.pseudo_id, tampered)
+        node.ingest(body)
+
+
+def _fault_tamper(edge, devices):
+    # flip payload byte 0 of the edge's tip block; devices must raise alarms
+    block = edge.chain[-1]
+    data = block.record.payload
+    tampered = replace(block.record, payload=bytes([data[0] ^ 0xFF]) + data[1:])
+    _redeliver(replace(block, record=tampered), devices)
 
 
 def _fault_replay(cfg, clock, edge, devices, slot_seconds, virtual):
@@ -221,12 +234,7 @@ def _fault_replay(cfg, clock, edge, devices, slot_seconds, virtual):
         clock.advance(window + 2 * slot_seconds)
     else:
         time.sleep(window + slot_seconds + 0.5)
-    block = edge.chain[-1]
-    note_header = ledger.header_to_json(block)
-    payload = edge.cache.get(block.header.index)
-    for node in devices.values():
-        node.seen.discard(block.header.index)
-        node.receive(note_header, block.record.pseudo_id, payload)
+    _redeliver(edge.chain[-1], devices)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +305,7 @@ def _run_procs(cfg):
                      for d in cfg["devices"]}
         accept_dirs = {d["name"]: os.path.join(workdir, f"{d['name']}.accepted")
                        for d in cfg["devices"]}
+        pull = cfg["push_mode"] == "pull"
         for dev in cfg["devices"]:
             name = dev["name"]
             spawn(["sd", "run", "--bundle", os.path.join(workdir, f"{name}.json"),
@@ -305,13 +314,13 @@ def _run_procs(cfg):
                    "--source", eurl,
                    "--freshness", str(cfg["freshness_slots"]),
                    "--events", out_files[name],
-                   "--accept-dir", accept_dirs[name]])
+                   "--accept-dir", accept_dirs[name]] + (["--pull"] if pull else []))
         push = []
-        for dev in cfg["devices"]:
-            push += ["--push", f"http://127.0.0.1:{dev_ports[dev['name']]}"]
-        mode_flag = (["--push-payloads"] if cfg["push_mode"] == "payload" else [])
+        if not pull:
+            for dev in cfg["devices"]:
+                push += ["--push", f"http://127.0.0.1:{dev_ports[dev['name']]}"]
         spawn(["ed", "run", "--public", public, "--validator", vurl,
-               "--listen", f"127.0.0.1:{eport}"] + push + mode_flag)
+               "--listen", f"127.0.0.1:{eport}"] + push)
         if not _wait_http(f"{eurl}/chain/head"):
             raise RuntimeError("edge did not come up")
         for dev in cfg["devices"]:

@@ -41,6 +41,19 @@ def test_init_and_register_artifacts(authority_dir):
     assert sd["attributes"] == ["alpha", "beta"]
 
 
+def test_files_with_a_quorum_key_still_load(authority_dir, tmp_path):
+    # files written while the authority still stored a quorum carry the key
+    for name in ("ta_state.json", "public.json"):
+        obj = json.loads((authority_dir / name).read_text())
+        (tmp_path / name).write_text(json.dumps(dict(obj, quorum=1)))
+    pub, _pp, vset = cli._public_context(str(tmp_path / "public.json"))
+    assert vset.pseudo_ids == tuple(sorted(pub["validators"]))
+    assert cli.main(["ta", "register", "--dir", str(tmp_path), "--role", "sd",
+                     "--identity", "sensor-18", "--attrs", "alpha",
+                     "--out", str(tmp_path / "sd.json")]) == 0
+    assert "quorum" not in json.loads((tmp_path / "ta_state.json").read_text())
+
+
 def test_trace_resolves_pseudonym(authority_dir, capsys):
     sd = json.loads((authority_dir / "sd.json").read_text())
     assert cli.main(["ta", "trace", "--dir", str(authority_dir),

@@ -30,7 +30,7 @@ def material():
 
 
 def vset(ids=IDS, slot_seconds=15):
-    return ledger.ValidatorSet(list(ids), quorum=1, slot_seconds=slot_seconds)
+    return ledger.ValidatorSet(list(ids), slot_seconds=slot_seconds)
 
 
 def build_chain(record, vs, registry, length):
@@ -102,10 +102,6 @@ def test_leader_round_robin():
 def test_validator_set_validation():
     with pytest.raises(ValueError):
         ledger.ValidatorSet([])
-    with pytest.raises(ValueError):
-        ledger.ValidatorSet(list(IDS), quorum=0)
-    with pytest.raises(ValueError):
-        ledger.ValidatorSet(list(IDS), quorum=4)
     with pytest.raises(ValueError):
         ledger.ValidatorSet(list(IDS), slot_seconds=0)
     vs = ledger.ValidatorSet([IDS[2], IDS[0], IDS[1]])

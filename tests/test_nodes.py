@@ -3,6 +3,9 @@
 import hashlib
 import json
 import random
+import socket
+import threading
+import time
 
 import pytest
 import requests
@@ -20,7 +23,7 @@ MESSAGE = b"actuate valve 7"
 @pytest.fixture(scope="module")
 def authority():
     ta = TrustedAuthority("ASYMMETRIC_159", random.Random(0xED9E),
-                          slot_seconds=15, quorum=1)
+                          slot_seconds=15)
     bundles = {
         "sp": ta.register("alice@example.com", "sp"),
         "match": ta.register("thermostat-42", "sd",
@@ -38,7 +41,7 @@ def device_key(ta, bundle):
 class Stack:
     """One validator, one edge, and the requested devices, all started."""
 
-    def __init__(self, ta, bundles, push_mode=None, pull=False):
+    def __init__(self, ta, bundles, push=False, pull=False):
         self.clock = ManualClock(0.0)
         self.vset = ta.validator_set()
         registry = dict(ta.publishers)
@@ -57,8 +60,8 @@ class Stack:
                 pull=pull)
             dev.start(run_loop=False)
             self.devices[label] = dev
-            if push_mode:
-                self.edge.push_targets.append((dev.url, push_mode))
+            if push:
+                self.edge.push_targets.append(dev.url)
 
     def publish(self, ta, bundles, msg=MESSAGE, policy=POLICY, seed=7):
         return publish_message(ta.pp, bundles["sp"], msg, policy,
@@ -101,7 +104,7 @@ def test_manual_clock():
 
 def test_payload_push_pipeline(authority, stack_factory, tmp_path):
     ta, bundles = authority
-    stack = stack_factory(push_mode="payload")
+    stack = stack_factory(push=True)
     stack.validator.store_path = tmp_path / "chain.jsonl"
 
     record, resp = stack.publish(ta, bundles)
@@ -127,19 +130,29 @@ def test_payload_push_pipeline(authority, stack_factory, tmp_path):
     assert len(loaded) == 2
 
 
-def test_header_push_fetches_from_edge(authority, stack_factory):
+def test_push_body_equals_block_route(authority, stack_factory):
     ta, bundles = authority
-    stack = stack_factory(push_mode="header")
+    stack = stack_factory(push=True)
+    match = stack.devices["match"]
+    pushed = []
+    real = match.handle
+
+    def spy(method, path, body):
+        pushed.append(body)
+        return real(method, path, body)
+
+    match.handle = spy
     stack.publish(ta, bundles)
     stack.seal_next_slot()
     stack.edge.sync_once()
-    match = stack.devices["match"]
     assert match.accepted == [(1, MESSAGE)]
-    # the payload went over the edge's GET route, not the push body
-    fetches = [w for w in match.wire_log
-               if w["dir"] == "in" and w["body"] and "payload" in w["body"]]
-    assert fetches == []
-    assert stack.devices["other"].accepted == []
+    # one delivery form: the push body is the edge's GET /chain/block/N body
+    served = http_get(f"{stack.edge.url}/chain/block/1").json()
+    assert pushed == [served]
+    assert served == ledger.block_to_json(stack.validator.chain[1])
+    with pytest.raises(ValueError):  # header-only push is gone
+        EdgeNode("edge-2", ta.ctx, stack.vset, ta.publishers,
+                 stack.validator.url, push_targets=[(match.url, "header")])
 
 
 def test_pull_mode(authority, stack_factory):
@@ -204,20 +217,6 @@ def test_validator_keeps_slot_open_until_record(authority, stack_factory):
     assert ledger.slot_of(stack.validator.chain[1].header.timestamp, 15) == 1
 
 
-def test_edge_cache_self_heals(authority, stack_factory):
-    ta, bundles = authority
-    stack = stack_factory()
-    stack.publish(ta, bundles)
-    stack.seal_next_slot()
-    stack.edge.sync_once()
-    good = stack.edge.cache[1]
-    stack.edge.cache[1] = good[:-1] + bytes([good[-1] ^ 0xFF])
-    served = stack.edge.payload_for(1)
-    assert served == good
-    assert any(e["event"] == "cache-integrity" and e["index"] == 1
-               for e in stack.edge.events)
-
-
 def test_chain_read_endpoints(authority, stack_factory):
     ta, bundles = authority
     stack = stack_factory()
@@ -228,24 +227,14 @@ def test_chain_read_endpoints(authority, stack_factory):
     assert head["index"] == 1
     assert head["hash"] == ledger.block_hash(tip).hex()
 
-    headers = http_get(f"{stack.validator.url}/chain/headers?from=1").json()
-    assert len(headers["headers"]) == 1
-    assert headers["headers"][0]["payload_digest"] == (
-        tip.record.payload_digest.hex())
-
     blk = http_get(f"{stack.validator.url}/chain/block/1").json()
     assert ledger.block_from_json(ta.ctx, blk) == tip
-
-    raw = http_get(f"{stack.validator.url}/chain/block/1/payload").content
-    assert raw == tip.record.payload
-    assert hashlib.sha256(raw).digest() == tip.record.payload_digest
+    assert absc.hex_bytes(blk["record"]["payload"]) == tip.record.payload
 
     assert http_get(f"{stack.validator.url}/chain/block/9").status_code == 404
-    assert http_get(f"{stack.validator.url}/chain/block/0/payload"
-                    ).status_code == 404  # genesis carries no payload
-    assert http_get(f"{stack.validator.url}/chain/headers?from=zz"
-                    ).status_code == 400
-    assert http_get(f"{stack.validator.url}/nope").status_code == 404
+    # the block carries its payload: there is no separate payload route
+    for path in ("/chain/block/1/payload", "/chain/headers?from=1", "/nope"):
+        assert http_get(f"{stack.validator.url}{path}").status_code == 404
 
 
 def signcrypted_parts(ta, bundles, msg=MESSAGE, seed=31):
@@ -338,7 +327,7 @@ def test_relays_never_decode_curve_points(authority, stack_factory, tmp_path,
 
 def test_off_curve_point_passes_relays_and_alarms_devices(authority, stack_factory):
     ta, bundles = authority
-    stack = stack_factory(push_mode="payload")
+    stack = stack_factory(push=True)
     st_obj, ct_obj = signcrypted_parts(ta, bundles)
     st_obj["c"] = off_curve(ta.ctx, st_obj["c"])
     record = record_for(bundles, st_obj, ct_obj)
@@ -474,15 +463,6 @@ def test_device_unknown_publisher_alarms(authority, delivery):
     assert any(e.get("detail") == "unknown-publisher" for e in dev.events)
 
 
-def test_device_without_source_cannot_fetch(authority, delivery):
-    ta, bundles = authority
-    header, publisher, _ = delivery
-    dev = bare_device(ta, bundles)  # no source configured
-    assert dev.receive(header, publisher, None) == "alarm"
-    dead = bare_device(ta, bundles, source="http://127.0.0.1:9")
-    assert dead.receive(header, publisher, None) == "fetch-failed"
-
-
 def test_push_endpoint_validates_body(authority, stack_factory):
     ta, bundles = authority
     stack = stack_factory()
@@ -490,6 +470,44 @@ def test_push_endpoint_validates_body(authority, stack_factory):
     assert http_post_json(f"{url}/push", {"nope": 1}).status_code == 400
     assert http_post_json(f"{url}/push", {"header": {}, "payload": "zz"}
                           ).status_code == 400
+    resp = http_post_json(f"{url}/push", {"index": 1, "record": {"payload": "zz"}})
+    assert resp.json() == {"status": "alarm"}
+    assert [e.get("detail") for e in stack.devices["match"].events
+            if e["event"] == "integrity-alarm"] == ["bad-payload-hex"]
+
+
+def test_request_body_is_capped(authority, stack_factory):
+    stack = stack_factory()
+    addr = (stack.validator.host, stack.validator.port)
+
+    def post_headers_only(length):
+        # a server that trusted the length would wait for a body never sent
+        with socket.create_connection(addr, timeout=5) as sock:
+            sock.sendall(b"POST /records HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Length: %d\r\n\r\n" % length)
+            return sock.recv(4096)
+
+    assert post_headers_only(-1).startswith(b"HTTP/1.1 400 ")
+    assert post_headers_only(nodes.MAX_BODY + 1).startswith(b"HTTP/1.1 413 ")
+    assert http_get(f"{stack.validator.url}/chain/head").status_code == 200
+
+
+def test_stop_joins_the_loop_thread(authority, monkeypatch):
+    ta, bundles = authority
+    in_retry = threading.Event()
+    real_sleep = time.sleep
+
+    def sleep(seconds):
+        in_retry.set()
+        real_sleep(seconds)
+
+    monkeypatch.setattr(nodes.time, "sleep", sleep)
+    dev = bare_device(ta, bundles, source="http://127.0.0.1:9", pull=True)
+    dev.start(serve=False)
+    threads = list(dev._threads)
+    assert in_retry.wait(5), "the pull never reached a retry"
+    dev.stop()  # mid-retry: the tick is sleeping between two attempts
+    assert threads and not any(t.is_alive() for t in threads)
 
 
 # ---------------------------------------------------------------------------
@@ -508,17 +526,28 @@ def test_bundles_never_carry_real_identities(authority):
 
 
 def test_wire_traffic_never_carries_real_identities(authority, stack_factory):
-    # header mode makes every node in the stack both send and receive
+    # pushed-to, pulling devices make every node in the stack serve traffic
     ta, bundles = authority
-    stack = stack_factory(push_mode="header")
+    stack = stack_factory(push=True, pull=True)
+    served = [stack.validator, stack.edge, *stack.devices.values()]
+    traffic = {node.name: [] for node in served}
+    for node in served:
+        def spy(method, path, body, real=node.handle, log=traffic[node.name]):
+            status, reply = real(method, path, body)
+            log.append({"method": method, "path": path, "body": body,
+                        "status": status, "reply": reply})
+            return status, reply
+
+        node.handle = spy
     stack.publish(ta, bundles)
     stack.seal_next_slot()
     stack.edge.sync_once()
+    for dev in stack.devices.values():
+        dev.tick()
     assert stack.devices["match"].accepted
-    nodes = [stack.validator, stack.edge, *stack.devices.values()]
-    for node in nodes:
-        assert node.wire_log, node.name
-        text = json.dumps(node.wire_log)
+    for name, log in traffic.items():
+        assert log, f"{name} handled no request"
+        text = json.dumps(log)
         for secret in ("alice@example.com", "thermostat-42", "camera-9"):
             assert secret not in text
 
@@ -530,6 +559,7 @@ def test_public_bundle_contents(authority):
     assert pub["validators"] == [bundles["sp"]["pseudo_id"]]
     assert pub["publishers"][bundles["sp"]["pseudo_id"]] == (
         bundles["sp"]["key_ver"])
+    assert "quorum" not in pub
     pp = absc.public_params_from_json(pub["pk"])
     assert pp.h == ta.pp.h and pp.t == ta.pp.t
 
@@ -540,6 +570,9 @@ def test_authority_state_round_trip(authority):
         json.loads(json.dumps(ta.state_to_json())), random.Random(5))
     assert ta2.trace(bundles["match"]["pseudo_id"]) == "thermostat-42"
     assert ta2.publishers == ta.publishers
+    # a state file from before quorum was dropped still loads
+    old = dict(ta.state_to_json(), quorum=1)
+    assert TrustedAuthority.from_json(old).validator_set() == ta.validator_set()
     # the restored master key issues keys that work against the old params
     key = absc.keygen(ta2.pp, ta2.mk, ["alpha", "beta"], random.Random(6))
     rng = random.Random(7)

@@ -1,5 +1,7 @@
 """Scenario runner: happy path, fault injection, custom topologies."""
 
+import subprocess
+
 import pytest
 
 from policycast import scenario
@@ -24,9 +26,8 @@ def test_defaults_reach_exactly_the_matching_device():
     assert any(e["event"] == "block-appended" for e in res.events)
 
 
-def test_header_mode_and_custom_policy():
+def test_threshold_policy_scenario():
     res = scenario.run_scenario(cfg(
-        push_mode="header",
         policy="(alpha, beta, gamma)@2",
         message="threshold broadcast",
         devices=[
@@ -43,6 +44,30 @@ def test_pull_mode():
     res = scenario.run_scenario(cfg(push_mode="pull"))
     assert res.ok
     assert res.outcomes["sd-match"][0] == "accepted"
+
+
+def test_procs_pull_mode_spawns_pulling_devices(monkeypatch):
+    spawned = []
+    real = subprocess.Popen
+
+    def spy(args, *rest, **kw):
+        spawned.append(list(args))
+        return real(args, *rest, **kw)
+
+    monkeypatch.setattr(scenario.subprocess, "Popen", spy)
+    res = scenario.run_scenario({"slot_seconds": 1, "push_mode": "pull"},
+                                mode="procs")
+    assert res.ok, res.summary()
+    devices = [a for a in spawned if a[3:5] == ["sd", "run"]]
+    edges = [a for a in spawned if a[3:5] == ["ed", "run"]]
+    assert len(devices) == 2 and all("--pull" in a for a in devices)
+    assert len(edges) == 1 and "--push" not in edges[0]
+
+
+@pytest.mark.parametrize("mode", ["threads", "procs"])
+def test_unknown_push_mode_is_rejected(mode):
+    with pytest.raises(ValueError):
+        scenario.run_scenario(cfg(push_mode="header"), mode=mode)
 
 
 def test_tampered_payload_alarms_every_device():
