@@ -18,6 +18,12 @@ SignCrypt: share s over the tree; C = h^s, per-leaf C_y = g1^(q_y(0)),
 DeSignCrypt: recover A = e(g1,g2)^(r_enc * s) from the leaf components,
           unmask via e(C, d_enc)/A = t^s, decrypt, then check
           delta' = e(C, psi) / (e(w, key_ver) * t^s)^pi against pi.
+          A and t^s are built from unreduced Miller values (each leaf's
+          ratio raised to its flattened Lagrange coefficient), so t^s
+          takes one final exponentiation and delta' a second.  Every
+          key-side point keeps its Miller lines (GroupElement.fixed), so
+          only e(C, psi) runs a full Miller loop once a key is warm, and
+          a leaf's two pairings share one loop over their lines.
 
 All hash-derived scalars are SHA-256 digests reduced mod p; the mask on
 the content key is the raw 32-byte digest.  Failure is a value: every
@@ -75,10 +81,19 @@ class MasterKey:
 
 @dataclass(frozen=True)
 class AttributeKey:
-    """Decryption key for one attribute set; comps maps attr -> (d_j, d'_j)."""
+    """Decryption key for one attribute set; comps maps attr -> (d_j, d'_j).
+
+    Its points are fixed pairing arguments (GroupElement.fixed): each
+    keeps the Miller lines of its first pairing for the life of the key.
+    """
     d_enc: object
     attributes: frozenset
     comps: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "d_enc", self.d_enc.fixed())
+        object.__setattr__(self, "comps", {a: (d.fixed(), dp.fixed())
+                                           for a, (d, dp) in self.comps.items()})
 
 
 @dataclass(frozen=True)
@@ -88,7 +103,10 @@ class SigningKey:
 
 @dataclass(frozen=True)
 class VerificationKey:
-    key_ver: object
+    key_ver: object  # a fixed pairing argument, like AttributeKey's points
+
+    def __post_init__(self):
+        object.__setattr__(self, "key_ver", self.key_ver.fixed())
 
 
 @dataclass(frozen=True)
@@ -224,6 +242,36 @@ def signcrypt(pp, signing_key, msg, tree, rng=None, transcript=None):
     return st, ct_msg
 
 
+def _decrypt_core(pp, st, key, node):
+    """Unreduced decrypt_node: a "miller" element, or None if unsatisfied.
+
+    Each chosen leaf contributes m(C_y, d_j) / m(C'_y, d'_j) raised to
+    its flattened coefficient, the product of the Lagrange coefficients
+    on its path, so the tree needs no final exponentiation of its own.
+    """
+    ctx = pp.ctx
+    tree = st.tree
+    sat = satisfies(tree, key.attributes, root=node)
+    if not sat.satisfied:
+        return None
+
+    def core(idx, coeff):
+        n = tree.nodes[idx]
+        if n.is_leaf:
+            c_y, c_y_prime = st.leaf_c[idx]
+            d_j, d_j_prime = key.comps[n.attribute]
+            ratio = ctx.miller((c_y, d_j), (c_y_prime.inverse(), d_j_prime))
+            return ratio ** coeff
+        positions = sat.chosen[idx]
+        acc = ctx.identity("miller")
+        for pos in positions:
+            acc = acc * core(n.children[pos - 1],
+                             coeff * lagrange_coeff(pos, positions, 0, ctx.p))
+        return acc
+
+    return core(node, ctx.scalar(1))
+
+
 def decrypt_node(pp, st, key, node=None):
     """Evaluate the decryption tree at a node.
 
@@ -232,48 +280,33 @@ def decrypt_node(pp, st, key, node=None):
     components against the matching key components; interior nodes
     Lagrange-combine a deterministic choice of k satisfying children.
     """
-    ctx = pp.ctx
-    tree = st.tree
-    node = tree.root if node is None else node
-    sat = satisfies(tree, key.attributes, root=node)
-    if not sat.satisfied:
-        return None
-
-    def value(idx):
-        n = tree.nodes[idx]
-        if n.is_leaf:
-            c_y, c_y_prime = st.leaf_c[idx]
-            d_j, d_j_prime = key.comps[n.attribute]
-            return ctx.pair_ratio(c_y, d_j, c_y_prime, d_j_prime)
-        positions = sat.chosen[idx]
-        acc = ctx.identity("gt")
-        for pos in positions:
-            coeff = lagrange_coeff(pos, positions, 0, ctx.p)
-            acc = acc * value(n.children[pos - 1]) ** coeff
-        return acc
-
-    return value(node)
+    core = _decrypt_core(pp, st, key, st.tree.root if node is None else node)
+    return None if core is None else pp.ctx.final_exp(core)
 
 
 def designcrypt(pp, st, ct_msg, key, verification_key, transcript=None):
-    """Recover and verify the message; None on any failure."""
+    """Recover and verify the message; None on any failure.
+
+    Two final exponentiations in all: one for t^s, one for delta'.
+    """
     ctx = pp.ctx
-    a = decrypt_node(pp, st, key)
+    a = _decrypt_core(pp, st, key, st.tree.root)
     if a is None:
         if transcript is not None:
             transcript["reason"] = "unsatisfied"
         return None
-    t_s = ctx.pair(st.c, key.d_enc) * a.inverse()
+    t_core = ctx.miller((st.c, key.d_enc)) * a.inverse()
+    t_s = ctx.final_exp(t_core)
     key_sym = _xor(st.c_tilde, ctx.hash_to_bits(t_s.to_bytes()))
     msg = sym_decrypt(key_sym, ct_msg)
     if transcript is not None:
-        transcript.update(a=a, t_s=t_s, key_sym=key_sym)
+        transcript.update(t_s=t_s, key_sym=key_sym)
     if msg is None:
         if transcript is not None:
             transcript["reason"] = "decrypt-failed"
         return None
-    denom = (ctx.pair(st.w, verification_key.key_ver) * t_s) ** st.pi
-    delta_prime = ctx.pair(st.c, st.psi) * denom.inverse()
+    denom = (ctx.miller((st.w, verification_key.key_ver)) * t_core) ** st.pi
+    delta_prime = ctx.final_exp(ctx.miller((st.c, st.psi)) * denom.inverse())
     if transcript is not None:
         transcript["delta_prime"] = delta_prime
     check = ctx.hash_to_scalar(msg) + ctx.hash_to_scalar(delta_prime.to_bytes())

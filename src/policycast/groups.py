@@ -14,7 +14,13 @@ Elements carry their group tag ("s1", "s2", "gt"); mixing groups in a
 group operation or feeding the pairing arguments in the wrong order
 raises GroupMismatchError rather than silently computing garbage.  In
 the symmetric profile the two source groups coincide and everything is
-tagged "s1".
+tagged "s1".  Unreduced pairing values carry "miller" until final_exp
+reduces them; they never serialize.
+
+A key-side element made with GroupElement.fixed (g2, and every key
+point in absc) keeps its Miller lines, computed by its first pairing;
+pairings against it only evaluate them (pairing.fixed_miller).  Any
+other element pairs through the full loop (pairing.tate_miller).
 
 Serialized form (all big-endian, fixed width per profile):
 
@@ -56,6 +62,7 @@ _SYSTEM_RNG = random.SystemRandom()
 
 _TAGS = {"s1": (0x02, 0x03), "s2": (0x0A, 0x0B)}
 _GT_TAG = 0x04
+_FQ2_GROUPS = ("gt", "miller")
 
 
 class Scalar:
@@ -91,7 +98,7 @@ class Scalar:
     def inverse(self):
         if self.value == 0:
             raise ZeroDivisionError("inverse of zero scalar")
-        return Scalar(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
+        return Scalar(pow(self.value, -1, self.modulus), self.modulus)
 
     def __eq__(self, other):
         return (isinstance(other, Scalar) and self.value == other.value
@@ -108,14 +115,15 @@ class Scalar:
 
 
 class GroupElement:
-    """A tagged element of one of the three groups, multiplicative notation."""
+    """A tagged group element (or "miller" value), multiplicative notation."""
 
-    __slots__ = ("ctx", "group", "point")
+    __slots__ = ("ctx", "group", "point", "lines")
 
     def __init__(self, ctx, group, point):
         self.ctx = ctx
         self.group = group
         self.point = point
+        self.lines = None  # Miller lines of a fixed pairing argument
 
     def _check(self, other):
         if not isinstance(other, GroupElement):
@@ -127,8 +135,9 @@ class GroupElement:
     def __mul__(self, other):
         self._check(other)
         q = self.ctx.params.q
-        if self.group == "gt":
-            return GroupElement(self.ctx, "gt", _pr.fq2_mul(self.point, other.point, q))
+        if self.group in _FQ2_GROUPS:
+            return GroupElement(self.ctx, self.group,
+                                _pr.fq2_mul(self.point, other.point, q))
         return GroupElement(self.ctx, self.group, _pr.pt_add(self.point, other.point, q))
 
     def __pow__(self, k):
@@ -140,20 +149,33 @@ class GroupElement:
             raise GroupMismatchError(f"exponent must be int or Scalar, got {type(k).__name__}")
         k %= self.ctx.p
         q = self.ctx.params.q
-        if self.group == "gt":
-            return GroupElement(self.ctx, "gt", _pr.fq2_exp(self.point, k, q))
+        if self.group in _FQ2_GROUPS:
+            return GroupElement(self.ctx, self.group, _pr.fq2_exp(self.point, k, q))
         return GroupElement(self.ctx, self.group, _pr.pt_mul(self.point, k, q))
 
     def inverse(self):
         q = self.ctx.params.q
-        if self.group == "gt":
+        if self.group in _FQ2_GROUPS:
             # order-p subgroup elements have norm 1, so conjugation inverts
-            return GroupElement(self.ctx, "gt", _pr.fq2_conj(self.point, q))
+            # (a "miller" value: once reduced)
+            return GroupElement(self.ctx, self.group, _pr.fq2_conj(self.point, q))
         return GroupElement(self.ctx, self.group, _pr.pt_neg(self.point, q))
+
+    def fixed(self):
+        """This element as a long-lived pairing argument, such as a key.
+
+        Pairings against the returned copy walk its Miller lines once,
+        on first use, and keep them on it (GroupContext.miller).
+        """
+        if self.lines is not None:
+            return self
+        el = GroupElement(self.ctx, self.group, self.point)
+        el.lines = ()  # not yet computed
+        return el
 
     @property
     def is_identity(self):
-        if self.group == "gt":
+        if self.group in _FQ2_GROUPS:
             return self.point == _pr.FQ2_ONE
         return self.point is None
 
@@ -167,6 +189,8 @@ class GroupElement:
     def __repr__(self):
         if self.is_identity:
             return f"<{self.group} identity>"
+        if self.group == "miller":
+            return "<miller unreduced>"
         return f"<{self.group} {self.to_bytes().hex()[:16]}...>"
 
     def to_bytes(self):
@@ -193,11 +217,9 @@ class GroupContext:
         self.symmetric = self.params.symmetric
         # group tag used for key-side ("second source") elements
         self.key_group = "s1" if self.symmetric else "s2"
-        self.g1 = GroupElement(self, "s1", self.params.g1)
-        if self.symmetric:
-            self.g2 = self.g1
-        else:
-            self.g2 = GroupElement(self, "s2", self.params.g2pre)
+        g2 = self.params.g1 if self.symmetric else self.params.g2pre
+        self.g2 = GroupElement(self, self.key_group, g2).fixed()
+        self.g1 = self.g2 if self.symmetric else GroupElement(self, "s1", self.params.g1)
         self._t0 = None
 
     # -- scalars ------------------------------------------------------------
@@ -222,20 +244,46 @@ class GroupContext:
 
     # -- pairing ------------------------------------------------------------
 
+    def miller(self, *pairs):
+        """Unreduced product of e(a, b) over (a, b) pairs, as a "miller" element.
+
+        final_exp maps it to the product of the pairings, and it is a
+        homomorphism, so products, powers and inverses of these values
+        need one final exponentiation in all; e(a^-1, b) = e(a, b)^-1
+        gives ratios.  Pairs whose b is fixed (GroupElement.fixed) share
+        one loop over the b's stored lines; any other pair runs
+        tate_miller.
+        """
+        q = self.params.q
+        f = _pr.FQ2_ONE
+        fixed = []
+        for a, b in pairs:
+            self._want(a, "s1")
+            self._want(b, self.key_group)
+            if a.point is None or b.point is None:
+                continue
+            if b.lines is None:
+                f = _pr.fq2_mul(f, _pr.tate_miller(a.point, b.point, self.params), q)
+                continue
+            if not b.lines:  # first use; a racing thread builds the same table
+                b.lines = _pr.miller_lines(b.point, self.params)
+            fixed.append((b.lines, a.point))
+        if fixed:
+            f = _pr.fq2_mul(f, _pr.fixed_miller(fixed, self.params), q)
+        return GroupElement(self, "miller", f)
+
+    def final_exp(self, m):
+        """Reduce a "miller" element into the target group."""
+        self._want(m, "miller")
+        return GroupElement(self, "gt", _pr.tate_final_exp(m.point, self.params))
+
     def pair(self, a, b):
         """e(a, b) into the target group; argument order is s1 then s2."""
-        self._want(a, "s1")
-        self._want(b, self.key_group)
-        return GroupElement(self, "gt", _pr.tate_pairing(a.point, b.point, self.params))
+        return self.final_exp(self.miller((a, b)))
 
     def pair_ratio(self, a1, b1, a2, b2):
         """e(a1, b1) / e(a2, b2) with one shared final exponentiation."""
-        self._want(a1, "s1")
-        self._want(a2, "s1")
-        self._want(b1, self.key_group)
-        self._want(b2, self.key_group)
-        return GroupElement(self, "gt", _pr.tate_pairing_ratio(
-            a1.point, b1.point, a2.point, b2.point, self.params))
+        return self.final_exp(self.miller((a1, b1), (a2.inverse(), b2)))
 
     def pairing_of_generators(self):
         """e(g1, g2), cached."""
@@ -252,8 +300,8 @@ class GroupContext:
     # -- identities ---------------------------------------------------------
 
     def identity(self, group):
-        if group == "gt":
-            return GroupElement(self, "gt", _pr.FQ2_ONE)
+        if group in _FQ2_GROUPS:
+            return GroupElement(self, group, _pr.FQ2_ONE)
         if group in ("s1", "s2"):
             return GroupElement(self, group, None)
         raise ConfigurationError(f"unknown group: {group!r}")
@@ -262,8 +310,8 @@ class GroupContext:
 
     def serialize_element(self, el):
         self._own(el)
-        if el.is_identity:
-            raise ValueError("identity elements are not serializable")
+        if el.is_identity or el.group == "miller":
+            raise ValueError("identity and unreduced elements are not serializable")
         w = self.params.fq_bytes
         if el.group == "gt":
             a, b = el.point

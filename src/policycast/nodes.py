@@ -313,8 +313,8 @@ class EdgeNode(NodeService, _ChainReader):
 
     def sync_once(self):
         try:
-            head = http_get(f"{self.upstream}/chain/head").json()["index"]
-        except (requests.RequestException, ValueError, KeyError):
+            head = int(http_get(f"{self.upstream}/chain/head").json()["index"])
+        except (requests.RequestException, ValueError, KeyError, TypeError):
             return
         while len(self.chain) <= head:
             idx = len(self.chain)
@@ -375,8 +375,8 @@ class DeviceNode(NodeService):
         if not self.pull or not self.source:
             return
         try:
-            head = http_get(f"{self.source}/chain/head").json()["index"]
-        except (requests.RequestException, ValueError, KeyError):
+            head = int(http_get(f"{self.source}/chain/head").json()["index"])
+        except (requests.RequestException, ValueError, KeyError, TypeError):
             return
         while self._pull_next <= head:
             idx = self._pull_next
@@ -384,7 +384,9 @@ class DeviceNode(NodeService):
                 obj = http_get(f"{self.source}/chain/block/{idx}").json()
             except (requests.RequestException, ValueError):
                 return
-            if isinstance(obj.get("record"), dict):
+            if not isinstance(obj, dict):
+                self.event("integrity-alarm", index=idx, detail="bad-block")
+            elif isinstance(obj.get("record"), dict):
                 self.ingest(obj)
             self._pull_next = idx + 1
 

@@ -26,6 +26,21 @@ and any F_q scaling of the tangent/chord lines) is annihilated by the
 final exponentiation (q - 1)(q + 1)/r, so those factors are simply
 dropped.  Parameters were produced by tools/gen_params.py and are pinned
 here; rerunning that script reproduces them.
+
+Fixed arguments.  r does not divide the cofactor c, so E(F_q)[r] is
+cyclic and both inputs are multiples of one generator G; hence
+e(A, phi(B)) = e(G, phi(G))^(ab) = e(B, phi(A)), and a long-lived point
+B (a key) can be the point the loop walks while the other input only
+supplies the evaluation point.  miller_lines walks B once, in Jacobian
+coordinates with tate_miller's formulas, and divides every line by the
+F_q part of its i-coefficient.  Those divisors are F_q factors, which the
+final exponentiation kills, and one Montgomery batch inversion covers
+all of them.  Each line is then two ints (a, b) with value a + b*xq +
+i*yq at phi(Q), and fixed_miller evaluates the table at Q with no point
+arithmetic and no inversion: about a third of a Miller loop.  Tables all
+follow the bits of r, so several (table, Q) pairs share one loop and its
+squarings; a pair evaluated at -Q = (xq, -yq) contributes the conjugate,
+which the final exponentiation turns into the inverse.
 """
 
 
@@ -101,7 +116,7 @@ def fq2_conj(x, q):
 
 def fq2_inv(x, q):
     a, b = x
-    n = pow(a * a + b * b, q - 2, q)
+    n = pow(a * a + b * b, -1, q)
     return a * n % q, -b * n % q
 
 
@@ -145,10 +160,10 @@ def pt_add(P, Q, q):
         if (y1 + y2) % q == 0:
             return None
         num = (3 * x1 * x1 + 1) % q
-        den = pow(2 * y1, q - 2, q)
+        den = pow(2 * y1, -1, q)
     else:
         num = (y2 - y1) % q
-        den = pow(x2 - x1, q - 2, q)
+        den = pow(x2 - x1, -1, q)
     lam = num * den % q
     x3 = (lam * lam - x1 - x2) % q
     y3 = (lam * (x1 - x3) - y1) % q
@@ -202,7 +217,7 @@ def pt_mul(P, k, q):
             X, Y, Z = X2, Y2, Z2
     if Z == 0:
         return None
-    zinv = pow(Z, q - 2, q)
+    zinv = pow(Z, -1, q)
     z2 = zinv * zinv % q
     return X * z2 % q, Y * z2 % q * zinv % q
 
@@ -286,11 +301,87 @@ def tate_miller(P, Q, params):
     return fa, fb
 
 
+def miller_lines(P, params):
+    """Line table of a fixed point P for fixed_miller.
+
+    Walks P through tate_miller's loop and keeps each line as
+    (a, b, doubling), scaled so that its value at phi(Q) is
+    a + b*xq + i*yq; doubling marks the lines that follow a squaring.
+    """
+    q = params.q
+    xp, yp = P
+    X, Y, Z = xp, yp, 1
+    raw = []  # (a, b) numerators, the F_q scale to divide out, doubling
+    for bit in params.r_tail:
+        Zsq = Z * Z % q
+        A = X * X % q
+        B = Y * Y % q
+        Cc = B * B % q
+        D = 2 * ((X + B) * (X + B) - A - Cc) % q
+        E = (3 * A + Zsq * Zsq) % q
+        Z2 = 2 * Y * Z % q
+        # tate_miller's tangent E*(X + xq*Zsq) - 2B + i*Z2*Zsq*yq
+        raw.append(((E * X - 2 * B) % q, E * Zsq % q, Z2 * Zsq % q, True))
+        X = (E * E - 2 * D) % q
+        Y = (E * (D - X) - 8 * Cc) % q
+        Z = Z2
+        if bit == "1":
+            Zsq = Z * Z % q
+            H = (xp * Zsq - X) % q
+            R = (yp * Z % q * Zsq - Y) % q
+            if H == 0 and R != 0:
+                break  # vertical chord at T = -P, the last step: dropped
+            H2 = H * H % q
+            H3 = H * H2 % q
+            X2 = (R * R - H3 - 2 * X * H2) % q
+            Y2 = (R * (X * H2 - X2) - Y * H3) % q
+            Z2 = Z * H % q
+            # tate_miller's chord Z2*yp - R*(xq + xp) - i*Z2*yq
+            raw.append(((R * xp - Z2 * yp) % q, R, Z2, False))
+            X, Y, Z = X2, Y2, Z2
+    # one inversion for all scales (Montgomery's trick)
+    prefix = []
+    acc = 1
+    for line in raw:
+        prefix.append(acc)
+        acc = acc * line[2] % q
+    inv = pow(acc, -1, q)
+    lines = [None] * len(raw)
+    for k in range(len(raw) - 1, -1, -1):
+        a, b, scale, doubling = raw[k]
+        s_inv = inv * prefix[k] % q
+        inv = inv * scale % q
+        lines[k] = (a * s_inv % q, b * s_inv % q, doubling)
+    return lines
+
+
+def fixed_miller(pairs, params):
+    """Unreduced product of e(P, phi(Q)) over (miller_lines of P, Q) pairs.
+
+    The pairs share one loop and its squarings; each line costs one
+    evaluation at its Q and one F_q2 product, with no point arithmetic.
+    tate_final_exp reduces the result.
+    """
+    q = params.q
+    terms = [(lines, xq, yq) for lines, (xq, yq) in pairs]
+    fa, fb = 1, 0
+    for k, (_, _, doubling) in enumerate(pairs[0][0]):
+        if doubling:
+            fa, fb = (fa + fb) * (fa - fb) % q, 2 * fa * fb % q
+        for lines, xq, yq in terms:
+            a, b, _ = lines[k]
+            lr = (a + b * xq) % q
+            m1 = fa * lr
+            m2 = fb * yq
+            fa, fb = (m1 - m2) % q, ((fa + fb) * (lr + yq) - m1 - m2) % q
+    return fa, fb
+
+
 def tate_final_exp(f, params):
     """f^((q^2 - 1)/r) computed as (conj(f)/f)^c with c = (q + 1)/r."""
     q = params.q
     a, b = f
-    n = pow(a * a + b * b, q - 2, q)
+    n = pow(a * a + b * b, -1, q)
     conj = (a, -b % q)
     finv = (a * n % q, -b * n % q)
     g = fq2_mul(conj, finv, q)
@@ -302,21 +393,3 @@ def tate_pairing(P, Q, params):
     if P is None or Q is None:
         return FQ2_ONE
     return tate_final_exp(tate_miller(P, Q, params), params)
-
-
-def tate_pairing_ratio(P1, Q1, P2, Q2, params):
-    """e(P1, phi(Q1)) / e(P2, phi(Q2)) with a single shared final exponentiation.
-
-    Uses conj(m2) in place of m2^-1: the final exponentiation contains a
-    factor q - 1, and conjugation is the q-power Frobenius of F_q2.
-    """
-    if P1 is None or Q1 is None:
-        m1 = FQ2_ONE
-    else:
-        m1 = tate_miller(P1, Q1, params)
-    if P2 is None or Q2 is None:
-        m2 = FQ2_ONE
-    else:
-        m2 = tate_miller(P2, Q2, params)
-    q = params.q
-    return tate_final_exp(fq2_mul(m1, fq2_conj(m2, q), q), params)

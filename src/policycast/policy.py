@@ -391,4 +391,4 @@ def lagrange_coeff(i, index_set, at, modulus):
             continue
         num = num * (at - j) % modulus
         den = den * (i - j) % modulus
-    return Scalar(num * pow(den, modulus - 2, modulus), modulus)
+    return Scalar(num * pow(den, -1, modulus), modulus)

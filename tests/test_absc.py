@@ -7,9 +7,9 @@ import time
 import pytest
 
 import oracles
-from policycast import absc
-from policycast.groups import DecodeError, GroupContext
-from policycast.policy import parse_policy
+from policycast import absc, pairing
+from policycast.groups import DecodeError, GroupContext, GroupElement
+from policycast.policy import lagrange_coeff, parse_policy, satisfies
 
 
 def attr_hash(ctx, attr):
@@ -205,6 +205,75 @@ def test_honest_transcripts_agree(scheme):
     assert dec_t["key_sym"] == enc_t["key_sym"]
     assert dec_t["delta_prime"] == enc_t["delta"]
     assert "reason" not in dec_t
+
+
+def plain(el):
+    """el without stored Miller lines: pairings against it run tate_miller."""
+    return GroupElement(el.ctx, el.group, el.point)
+
+
+def test_designcrypt_matches_reduced_reference(scheme):
+    # designcrypt reduces once for t^s and once for delta'; the reference
+    # reduces every pairing and Lagrange-combines in the target group
+    pp, mk = scheme
+    ctx = pp.ctx
+    rng = random.Random(113)
+    sk, vk = absc.signing_keygen(pp, mk, rng)
+    key = absc.keygen(pp, mk, ["a", "b", "c", "d"], rng)
+    enc_t, dec_t = {}, {}
+    st, ct = absc.signcrypt(pp, sk, b"payload", "(a, (b, c, e)@2, d)@2", rng, enc_t)
+    assert absc.designcrypt(pp, st, ct, key, vk, dec_t) == b"payload"
+    sat = satisfies(st.tree, key.attributes)
+
+    def value(idx):
+        n = st.tree.nodes[idx]
+        if n.is_leaf:
+            c_y, c_y_prime = st.leaf_c[idx]
+            d_j, d_j_prime = key.comps[n.attribute]
+            return ctx.pair_ratio(c_y, plain(d_j), c_y_prime, plain(d_j_prime))
+        positions = sat.chosen[idx]
+        acc = ctx.identity("gt")
+        for pos in positions:
+            acc = acc * value(n.children[pos - 1]) ** lagrange_coeff(
+                pos, positions, 0, ctx.p)
+        return acc
+
+    t_s = ctx.pair(st.c, plain(key.d_enc)) * value(st.tree.root).inverse()
+    denom = (ctx.pair(st.w, plain(vk.key_ver)) * t_s) ** st.pi
+    delta = ctx.pair(st.c, st.psi) * denom.inverse()
+    assert dec_t["t_s"] == t_s == enc_t["t_s"]
+    assert dec_t["delta_prime"] == delta == enc_t["delta"]
+    assert absc.decrypt_node(pp, st, key) == value(st.tree.root)
+    # the fast path still rejects a tampered psi
+    t = {}
+    bad = dataclasses.replace(st, psi=st.psi * ctx.g2)
+    assert absc.designcrypt(pp, bad, ct, key, vk, t) is None
+    assert t["reason"] == "verify-failed"
+
+
+def test_key_lines_are_built_on_first_use_only(scheme, monkeypatch):
+    pp, mk = scheme
+    ctx = pp.ctx
+    builds = []
+    real = pairing.miller_lines
+
+    def counting(P, params):
+        builds.append(P)
+        return real(P, params)
+
+    monkeypatch.setattr(pairing, "miller_lines", counting)
+    rng = random.Random(127)
+    sk, vk = absc.signing_keygen(pp, mk, rng)
+    key = absc.keygen(pp, mk, ["a", "b"], rng)
+    loaded = absc.attribute_key_from_json(ctx, absc.attribute_key_to_json(key))
+    assert builds == []
+    st, ct = absc.signcrypt(pp, sk, b"m", "a and b", rng)
+    builds.clear()  # signcrypt may fill ctx.g2's lines, once per context
+    assert absc.designcrypt(pp, st, ct, loaded, vk) == b"m"
+    assert len(builds) == 1 + 2 * 2 + 1  # d_enc, each d_j and d'_j, key_ver
+    builds.clear()
+    assert absc.designcrypt(pp, st, ct, loaded, vk) == b"m"
+    assert builds == []
 
 
 def test_designcrypt_failure_reasons(scheme_asym):

@@ -9,6 +9,7 @@ import oracles
 from policycast import pairing as pr
 from policycast.groups import (ConfigurationError, DecodeError, GroupContext,
                                GroupMismatchError, Scalar)
+from policycast.policy import lagrange_coeff
 
 # frozen first-build serializations; any engine change that moves these
 # is a compatibility break, not a refactor
@@ -127,6 +128,80 @@ def test_pairing_matches_naive_oracle(ctx):
         P = pr.pt_mul(ps.g1, a, ps.q)
         Q = pr.pt_mul(base2, b, ps.q)
         assert pr.tate_pairing(P, Q, ps) == oracles.naive_tate(P, Q, ps)
+
+
+def test_source_group_is_cyclic(ctx):
+    # r does not divide the cofactor, so E(F_q)[r] is cyclic and
+    # e(A, phi(B)) = e(B, phi(A)): a fixed key-side point may be the one
+    # the Miller loop walks
+    assert ctx.params.c % ctx.params.r != 0
+
+
+def test_fixed_argument_lines_match_the_pairing(ctx):
+    ps = ctx.params
+    rng = random.Random(31)
+    base2 = ps.g2pre or ps.g1
+    for k in range(3):
+        A = pr.pt_mul(ps.g1, rng.randrange(1, ps.r), ps.q)
+        B = pr.pt_mul(base2, rng.randrange(1, ps.r), ps.q)
+        lines = pr.miller_lines(B, ps)
+        got = pr.tate_final_exp(pr.fixed_miller([(lines, A)], ps), ps)
+        assert got == pr.tate_pairing(B, A, ps)  # the arguments swapped
+        if k < 2:
+            assert got == oracles.naive_tate(A, B, ps)
+    # several pairs share one loop; a negated point inverts its pairing
+    A2 = pr.pt_mul(ps.g1, rng.randrange(1, ps.r), ps.q)
+    B2 = pr.pt_mul(base2, rng.randrange(1, ps.r), ps.q)
+    pairs = [(lines, A), (pr.miller_lines(B2, ps), pr.pt_neg(A2, ps.q))]
+    want = oracles.omul(oracles.naive_tate(A, B, ps),
+                        oracles.oinv(pr.tate_pairing(A2, B2, ps), ps.q), ps.q)
+    assert pr.tate_final_exp(pr.fixed_miller(pairs, ps), ps) == want
+    # the pinned e(g1, g2) through g2's lines, in a fresh context
+    fresh = GroupContext(ctx.profile.value)
+    assert fresh.g2.lines == ()
+    assert fresh.pairing_of_generators().to_bytes().hex() == PINS[ctx.profile.value]["t0"]
+    assert len(fresh.g2.lines) > 0
+
+
+def test_pairing_path_follows_the_key_side_element(ctx):
+    rng = random.Random(37)
+    a = ctx.g1 ** ctx.random_scalar(rng)
+    b = ctx.g2 ** ctx.random_scalar(rng)
+    assert b.lines is None  # a plain element: tate_miller
+    b_fixed = b.fixed()
+    assert b_fixed == b and b_fixed.fixed() is b_fixed
+    assert ctx.pair(a, b_fixed) == ctx.pair(a, b)
+    assert b_fixed.lines and b.lines is None
+    want = ctx.pair(a, b) * ctx.pair(ctx.g1, b).inverse()
+    assert ctx.pair_ratio(a, b_fixed, ctx.g1, b) == want
+    m = ctx.miller((a, b_fixed), (ctx.g1, b))
+    assert ctx.final_exp(m) == ctx.pair(a, b) * ctx.pair(ctx.g1, b)
+    assert ctx.final_exp(m * m.inverse()).is_identity
+    with pytest.raises(ValueError):
+        m.to_bytes()  # unreduced values never go on the wire
+    with pytest.raises(GroupMismatchError):
+        ctx.pair(a, b) * m
+
+
+def test_inverses_match_oracle(ctx):
+    q, p = ctx.params.q, ctx.p
+    rng = random.Random(41)
+    for _ in range(50):
+        x = (rng.randrange(1, q), rng.randrange(q))
+        assert pr.fq2_inv(x, q) == oracles.oinv(x, q)
+        y = rng.randrange(1, p)
+        assert ctx.scalar(y).inverse().value == oracles.oinv((y, 0), p)[0]
+    S = [1, 3, 4, 7]
+    for i in S:
+        num = den = 1
+        for j in S:
+            if j != i:
+                num, den = num * -j % p, den * (i - j) % p
+        want = num * oracles.oinv((den, 0), p)[0] % p
+        assert lagrange_coeff(i, S, 0, p).value == want
+    f = (rng.randrange(1, q), rng.randrange(q))
+    assert pr.tate_final_exp(f, ctx.params) == oracles.oexp(
+        f, (q * q - 1) // ctx.params.r, q)
 
 
 def test_bilinearity(ctx):

@@ -10,7 +10,7 @@ import time
 import pytest
 import requests
 
-from policycast import absc, ledger, nodes
+from policycast import absc, ledger, nodes, pairing
 from policycast.groups import DecodeError, GroupContext
 from policycast.nodes import (DeviceNode, EdgeNode, ManualClock,
                               TrustedAuthority, ValidatorNode, http_get,
@@ -188,6 +188,50 @@ def test_pull_alarms_on_bad_payload_hex(authority, stack_factory, monkeypatch):
     assert match.accepted == []
     assert [e.get("detail") for e in match.events
             if e["event"] == "integrity-alarm"] == ["bad-payload-hex"]
+
+
+class JunkSource(nodes.NodeService):
+    """A relay that serves `head` and a JSON list for every block."""
+
+    def __init__(self, head):
+        super().__init__("relay")
+        self.head = head
+
+    def handle(self, method, path, body):
+        if path == "/chain/head":
+            return 200, self.head
+        return 200, ["not", "a", "block"]
+
+
+def test_pull_alarms_once_on_a_non_object_block(authority):
+    ta, bundles = authority
+    source = JunkSource({"index": 1}).start(run_loop=False)
+    dev = bare_device(ta, bundles, source=source.url, pull=True)
+    dev.start(serve=False)
+    deadline = time.monotonic() + 5
+    while dev._pull_next == 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(5 * dev.poll_interval)  # a few more ticks past the block
+    dev.stop()
+    source.stop()
+    assert dev._pull_next == 2
+    assert [e["event"] for e in dev.events] == ["integrity-alarm"]
+    assert dev.events[0]["detail"] == "bad-block"
+
+
+def test_followers_skip_a_non_object_head(authority):
+    ta, bundles = authority
+    source = JunkSource(["not", "a", "head"]).start(run_loop=False)
+    dev = bare_device(ta, bundles, source=source.url, pull=True)
+    edge = EdgeNode("edge-1", ta.ctx, ta.validator_set(), ta.publishers,
+                    source.url, clock=ManualClock(18))
+    try:
+        dev.tick()
+        edge.sync_once()
+    finally:
+        source.stop()
+    assert dev._pull_next == 1 and dev.events == []
+    assert len(edge.chain) == 1
 
 
 def test_edge_resyncs_a_gap(authority, stack_factory):
@@ -453,6 +497,27 @@ def test_device_header_and_digest_gates(authority, delivery):
     bent = payload[:40] + bytes([payload[40] ^ 1]) + payload[41:]
     assert dev.receive(header, publisher, bent) == "alarm"
     assert dev.accepted == []
+
+
+def test_device_builds_key_lines_on_its_first_message(authority, delivery,
+                                                      monkeypatch):
+    ta, bundles = authority
+    header, publisher, payload = delivery
+    builds = []
+    real = pairing.miller_lines
+
+    def counting(P, params):
+        builds.append(P)
+        return real(P, params)
+
+    monkeypatch.setattr(pairing, "miller_lines", counting)
+    dev = bare_device(ta, bundles)
+    assert builds == []
+    assert dev.receive(header, publisher, payload) == "accepted"
+    assert len(builds) == 1 + 2 * 2 + 1  # d_enc, alpha's and beta's pair, key_ver
+    builds.clear()
+    assert dev.receive(dict(header, index=2), publisher, payload) == "accepted"
+    assert builds == []
 
 
 def test_device_unknown_publisher_alarms(authority, delivery):

@@ -1,0 +1,124 @@
+"""Layer timings of the pairing engine and designcrypt, as JSON.
+
+Ops, on each curve profile:
+
+    miller            tate_miller, the plain Miller loop
+    fixed_miller      evaluation of a fixed point's stored lines
+    miller_lines      the line precompute for one fixed point
+    final_exp         one final exponentiation
+    pt_mul_r          pt_mul by the group order (the decode subgroup check)
+    decode_s1         strict decode of one s1 point
+    designcrypt_warm  designcrypt, AND of n attributes, key reused
+    designcrypt_cold  the same with a fresh copy of the key each call
+
+Ops that the imported policycast lacks are skipped, so the script times
+an older checkout too, with the same seed.  Each op runs once untimed,
+then REPEATS timed calls, pinned to one CPU as perfbench/run.py is.
+Usage, from the root of a checkout:
+
+    PYTHONPATH=src python3 tools/bench_pairing.py LABEL OUT.json
+
+The run is merged into OUT.json under LABEL (say, "parent" or "change").
+"""
+
+import json
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+
+from policycast import absc
+from policycast import pairing as pr
+from policycast.groups import GroupContext
+
+PROFILES = ("ASYMMETRIC_159", "SYMMETRIC_512")
+COUNTS = (2, 8, 19)
+REPEATS = 15
+SEED = 5
+
+
+def _time(fn, repeats, prepare=None):
+    """Per-call ms over `repeats` calls after one warm-up; prepare() is untimed."""
+    samples = []
+    for k in range(repeats + 1):
+        arg = prepare() if prepare else None
+        t0 = time.perf_counter()
+        fn(arg)
+        if k:
+            samples.append((time.perf_counter() - t0) * 1e3)
+    return samples
+
+
+def _row(profile, op, n, samples):
+    cuts = statistics.quantiles(samples, n=10, method="inclusive")
+    return {"profile": profile, "op": op, "n": n, "repeats": len(samples),
+            "median": round(statistics.median(samples), 4),
+            "p10": round(cuts[0], 4), "p90": round(cuts[-1], 4)}
+
+
+def bench_profile(profile):
+    ctx = GroupContext(profile)
+    ps = ctx.params
+    rng = random.Random(SEED)
+    a = ctx.g1 ** ctx.random_scalar(rng)
+    b = ctx.g2 ** ctx.random_scalar(rng)
+    f = pr.tate_miller(a.point, b.point, ps)
+    a_bytes = a.to_bytes()
+    ops = [("miller", lambda _: pr.tate_miller(a.point, b.point, ps))]
+    if hasattr(pr, "miller_lines"):
+        lines = pr.miller_lines(b.point, ps)
+        ops += [("fixed_miller", lambda _: pr.fixed_miller([(lines, a.point)], ps)),
+                ("miller_lines", lambda _: pr.miller_lines(b.point, ps))]
+    ops += [("final_exp", lambda _: pr.tate_final_exp(f, ps)),
+            ("pt_mul_r", lambda _: pr.pt_mul(a.point, ps.r, ps.q)),
+            ("decode_s1", lambda _: ctx.deserialize_element(a_bytes, "s1"))]
+    rows = [_row(profile, op, 1, _time(fn, REPEATS)) for op, fn in ops]
+
+    pp, mk = absc.setup(ctx, rng)
+    sk, vk = absc.signing_keygen(pp, mk, rng)
+    for n in COUNTS:
+        attrs = [f"attr{i:02d}" for i in range(n)]
+        key = absc.keygen(pp, mk, attrs, rng)
+        st, ct = absc.signcrypt(pp, sk, b"x" * 1024, " and ".join(attrs), rng)
+        key_json = absc.attribute_key_to_json(key)
+        ver_bytes = vk.key_ver.to_bytes()
+
+        def fresh_keys():
+            return (absc.attribute_key_from_json(ctx, key_json),
+                    absc.VerificationKey(ctx.deserialize_element(ver_bytes, "s2")))
+
+        def designcrypt(keys):
+            if absc.designcrypt(pp, st, ct, *keys) is None:
+                raise RuntimeError(f"designcrypt failed on {profile}, n={n}")
+
+        rows.append(_row(profile, "designcrypt_warm", n,
+                         _time(designcrypt, REPEATS, lambda: (key, vk))))
+        rows.append(_row(profile, "designcrypt_cold", n,
+                         _time(designcrypt, REPEATS, fresh_keys)))
+    return rows
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    label, out = argv
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    run = {"nproc": os.cpu_count(), "pinned_cpu": cpu,
+           "python": platform.python_version(), "seed": SEED, "results": []}
+    for profile in PROFILES:
+        run["results"] += bench_profile(profile)
+    merged = {}
+    if os.path.exists(out):
+        with open(out, encoding="utf-8") as fh:
+            merged = json.load(fh)
+    merged[label] = run
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(merged, fh, indent=1)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
