@@ -1,9 +1,13 @@
 """Timing harness for the four scheme operations.
 
-Each measurement point runs one discarded warm-up plus `trials` timed
-runs (monotonic clock) of a single operation against an n-attribute AND
-policy, for n over the requested range.  Results can be dumped as CSV
-with one row per (profile, operation, attribute count).
+Each measurement point is a single operation against an n-attribute AND
+policy, for n over the requested range.  The points of one profile are
+timed in rounds (monotonic clock): every round calls each point once, one
+after another, and the first round is a discarded warm-up, so each point
+gets `trials` timed runs spread over the whole profile.  A slow phase of
+the host then lands on a few runs of many points, which their medians
+drop, instead of on every run of a few neighbouring points.  Results can
+be dumped as CSV with one row per (profile, operation, attribute count).
 """
 
 import csv
@@ -38,14 +42,33 @@ def _and_policy(n):
     return " and ".join(_attrs(n))
 
 
-def _time(fn, trials):
-    fn()  # warm-up, discarded
-    samples = []
+def _time_rounds(fns, trials):
+    """Call every fn once per round for a warm-up round plus `trials`
+    timed rounds; returns one list of `trials` samples (ms) per fn."""
+    samples = [[] for _ in fns]
+    for fn in fns:
+        fn()  # warm-up, discarded
     for _ in range(trials):
-        t0 = time.perf_counter()
-        fn()
-        samples.append((time.perf_counter() - t0) * 1000.0)
+        for fn, out in zip(fns, samples):
+            t0 = time.perf_counter()
+            fn()
+            out.append((time.perf_counter() - t0) * 1000.0)
     return samples
+
+
+def _point_ops(ctx, pp, mk, msg, n, rng):
+    """The four operations at attribute count n, as zero-argument calls."""
+    attrs = _attrs(n)
+    policy = _and_policy(n)
+    key = absc.keygen(pp, mk, attrs, rng)
+    sk, vk = absc.signing_keygen(pp, mk, rng)
+    st, ct_msg = absc.signcrypt(pp, sk, msg, policy, rng)
+    return {
+        "setup": lambda: absc.setup(ctx, rng),
+        "keygen": lambda: absc.keygen(pp, mk, attrs, rng),
+        "signcrypt": lambda: absc.signcrypt(pp, sk, msg, policy, rng),
+        "designcrypt": lambda: absc.designcrypt(pp, st, ct_msg, key, vk),
+    }
 
 
 def run_bench(profiles, operations=OPERATIONS, counts=range(2, 20),
@@ -53,38 +76,32 @@ def run_bench(profiles, operations=OPERATIONS, counts=range(2, 20),
     """Run the requested measurements; returns a list of BenchResult."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    for op in operations:
+        if op not in OPERATIONS:
+            raise ValueError(f"unknown operation {op!r}")
     results = []
     for profile in profiles:
         ctx = GroupContext(profile)
         rng = random.Random(seed)
         pp, mk = absc.setup(ctx, rng)
         msg = rng.getrandbits(8 * msg_size).to_bytes(msg_size, "big") if msg_size else b"\x00"
+        points, fns = [], []
         for n in counts:
-            attrs = _attrs(n)
-            policy = _and_policy(n)
-            key = absc.keygen(pp, mk, attrs, rng)
-            sk, vk = absc.signing_keygen(pp, mk, rng)
-            st, ct_msg = absc.signcrypt(pp, sk, msg, policy, rng)
-            per_op = {
-                "setup": lambda: absc.setup(ctx, rng),
-                "keygen": lambda: absc.keygen(pp, mk, attrs, rng),
-                "signcrypt": lambda: absc.signcrypt(pp, sk, msg, policy, rng),
-                "designcrypt": lambda: absc.designcrypt(pp, st, ct_msg, key, vk),
-            }
+            per_op = _point_ops(ctx, pp, mk, msg, n, rng)
             for op in operations:
-                if op not in per_op:
-                    raise ValueError(f"unknown operation {op!r}")
-                samples = _time(per_op[op], trials)
-                results.append(BenchResult(
-                    profile=ctx.profile.value,
-                    operation=op,
-                    attribute_count=n,
-                    trials=trials,
-                    mean_ms=statistics.fmean(samples),
-                    median_ms=statistics.median(samples),
-                    min_ms=min(samples),
-                    max_ms=max(samples),
-                ))
+                points.append((n, op))
+                fns.append(per_op[op])
+        for (n, op), samples in zip(points, _time_rounds(fns, trials)):
+            results.append(BenchResult(
+                profile=ctx.profile.value,
+                operation=op,
+                attribute_count=n,
+                trials=trials,
+                mean_ms=statistics.fmean(samples),
+                median_ms=statistics.median(samples),
+                min_ms=min(samples),
+                max_ms=max(samples),
+            ))
     return results
 
 
