@@ -3,8 +3,9 @@
 One signcryption carries two layers: a random 256-bit content key
 encrypts the message with AES-256-CBC, and the content key itself is
 masked under the access policy, so only attribute sets satisfying the
-tree can strip the mask.  The signature layer binds the message and the
-session randomness to the sender's signing key.
+tree can strip the mask.  The signature layer binds the message, the
+session randomness and the whole payload but pi and psi to the sender's
+signing key.
 
 Setup:    h = g1^beta, t = e(g1, g2)^alpha; master key (beta, g2^alpha).
 KeyGen:   d_enc = g2^((alpha + r_enc)/beta), and per attribute j
@@ -13,8 +14,8 @@ KeyGen:   d_enc = g2^((alpha + r_enc)/beta), and per attribute j
           key_ver = g2^(r_sign).
 SignCrypt: share s over the tree; C = h^s, per-leaf C_y = g1^(q_y(0)),
           C'_y = g1^(H2(attr) * q_y(0)); c_tilde = key_sym XOR
-          H1(ser(t^s)); delta = e(C, g2)^zeta; pi = H1(msg) + H2(ser(delta));
-          w = g1^s; psi = g2^zeta * key_sign^pi.
+          H1(ser(t^s)); w = g1^s; delta = e(C, g2)^zeta;
+          pi = H1(msg) + H2(ser(delta) || B); psi = g2^zeta * key_sign^pi.
 DeSignCrypt: recover A = e(g1,g2)^(r_enc * s) from the leaf components,
           unmask via e(C, d_enc)/A = t^s, decrypt, then check
           delta' = e(C, psi) / (e(w, key_ver) * t^s)^pi against pi.
@@ -24,6 +25,20 @@ DeSignCrypt: recover A = e(g1,g2)^(r_enc * s) from the leaf components,
           key-side point keeps its Miller lines (GroupElement.fixed), so
           only e(C, psi) runs a full Miller loop once a key is warm, and
           a leaf's two pairings share one loop over their lines.
+
+Extension of the paper's scheme: B, in pi.  The paper signs
+pi = H1(msg) + H2(ser(delta)), which binds only the message and the
+session randomness, so anyone could swap a leaf component the reader
+does not use, or shift any evaluated point by one of cofactor order,
+and get a payload that still verifies.  Here B is the SHA-256 of the
+canonical payload with pi and psi removed (policy, c_tilde, C, the
+leaves, w, iv and body, in payload_bytes' canonical JSON), so every
+field but pi and psi is signed: the standard whole-ciphertext binding
+(Canetti, Halevi & Katz, EUROCRYPT 2004).  DeSignCrypt recomputes B
+from the decoded fields, so B signs their canonical form.  Because of B, st_from_json decodes C, w and the
+leaf points, which pairings only evaluate at, without a subgroup check
+(GroupContext.deserialize_evaluation_point); psi, which e(C, psi) walks,
+is decoded strictly.  Payloads signed without B do not verify.
 
 All hash-derived scalars are SHA-256 digests reduced mod p; the mask on
 the content key is the raw 32-byte digest.  Failure is a value: every
@@ -230,12 +245,12 @@ def signcrypt(pp, signing_key, msg, tree, rng=None, transcript=None):
         leaf_c[idx] = (ctx.g1 ** q0, ctx.g1 ** (_attr_hash(ctx, attr) * q0))
     w = ctx.g1 ** s
 
+    st = SignedCiphertext(tree, c_tilde, c, leaf_c, w, None, None)
     zeta = ctx.random_scalar(rng)
     delta = ctx.pair(c, ctx.g2) ** zeta
-    pi = ctx.hash_to_scalar(msg) + ctx.hash_to_scalar(delta.to_bytes())
+    pi = _pi(ctx, msg, delta, st, ct_msg)
     psi = (ctx.g2 ** zeta) * (signing_key.key_sign ** pi)
-
-    st = SignedCiphertext(tree, c_tilde, c, leaf_c, w, pi, psi)
+    st = replace(st, pi=pi, psi=psi)
     if transcript is not None:
         transcript.update(s=s, zeta=zeta, delta=delta, t_s=t_s,
                           key_sym=key_sym, shares=shares)
@@ -309,8 +324,7 @@ def designcrypt(pp, st, ct_msg, key, verification_key, transcript=None):
     delta_prime = ctx.final_exp(ctx.miller((st.c, st.psi)) * denom.inverse())
     if transcript is not None:
         transcript["delta_prime"] = delta_prime
-    check = ctx.hash_to_scalar(msg) + ctx.hash_to_scalar(delta_prime.to_bytes())
-    if check != st.pi:
+    if _pi(ctx, msg, delta_prime, st, ct_msg) != st.pi:
         if transcript is not None:
             transcript["reason"] = "verify-failed"
         return None
@@ -320,7 +334,8 @@ def designcrypt(pp, st, ct_msg, key, verification_key, transcript=None):
 # ---------------------------------------------------------------------------
 # wire form
 
-def st_to_json(st):
+def _signed_json(st):
+    """st_to_json without pi and psi: the part of st that B covers."""
     leaves = []
     for idx in st.tree.leaves():
         c_y, c_y_prime = st.leaf_c[idx]
@@ -333,9 +348,18 @@ def st_to_json(st):
         "c": st.c.to_bytes().hex(),
         "leaves": leaves,
         "w": st.w.to_bytes().hex(),
-        "pi": str(st.pi.value),
-        "psi": st.psi.to_bytes().hex(),
     }
+
+
+def st_to_json(st):
+    return dict(_signed_json(st), pi=str(st.pi.value), psi=st.psi.to_bytes().hex())
+
+
+def _pi(ctx, msg, delta, st, ct_msg):
+    """pi = H1(msg) + H2(ser(delta) || B), B the digest of the signed payload."""
+    b = ctx.hash_to_bits(canonical_json({"st": _signed_json(st),
+                                         "ct": ct_to_json(ct_msg)}))
+    return ctx.hash_to_scalar(msg) + ctx.hash_to_scalar(delta.to_bytes() + b)
 
 
 def _st_shape(ctx, obj):
@@ -373,12 +397,16 @@ def _st_shape(ctx, obj):
 
 
 def st_from_json(ctx, obj):
-    """Strict decode; raises DecodeError on any structural problem."""
+    """Decode; raises DecodeError on any structural problem.
+
+    psi is decoded strictly; C, w and the leaf points, which are signed
+    into pi and only evaluated at, are checked on the curve only.
+    """
     st = _st_shape(ctx, obj)
-    pt = ctx.deserialize_element
-    return replace(st, c=pt(st.c, "s1"), w=pt(st.w, "s1"), psi=pt(st.psi, "s2"),
-                   leaf_c={idx: (pt(a, "s1"), pt(b, "s1"))
-                           for idx, (a, b) in st.leaf_c.items()})
+    pt = ctx.deserialize_evaluation_point
+    return replace(st, c=pt(st.c), w=pt(st.w),
+                   psi=ctx.deserialize_element(st.psi, "s2"),
+                   leaf_c={idx: (pt(a), pt(b)) for idx, (a, b) in st.leaf_c.items()})
 
 
 def ct_to_json(ct_msg):
@@ -414,7 +442,7 @@ def _payload_parts(data):
 
 
 def payload_from_bytes(ctx, data):
-    """Strict decode, every curve point included: the devices' decoder."""
+    """Full decode, curve points included (st_from_json): the devices' decoder."""
     st_obj, ct_obj = _payload_parts(data)
     return st_from_json(ctx, st_obj), ct_from_json(ct_obj)
 

@@ -20,7 +20,8 @@ reduces them; they never serialize.
 A key-side element made with GroupElement.fixed (g2, and every key
 point in absc) keeps its Miller lines, computed by its first pairing;
 pairings against it only evaluate them (pairing.fixed_miller).  Any
-other element pairs through the full loop (pairing.tate_miller).
+other element pairs through the full loop (pairing.tate_miller), which
+walks it too: the s1 argument is always the evaluation point.
 
 Serialized form (all big-endian, fixed width per profile):
 
@@ -28,10 +29,15 @@ Serialized form (all big-endian, fixed width per profile):
     s2:  0x0a/0x0b (y parity) || x of the distortion preimage
     gt:  0x04 || a || b        for a + b*i in F_q2
 
-Decoding is strict: wrong tag for the requested group, off-curve x,
-out-of-range coordinates, wrong length, or an element outside the
-order-p subgroup are all rejected.  Identity elements never occur in
-honest protocol data and are not serializable.
+Decoding has two paths.  deserialize_element is strict: wrong tag for
+the requested group, off-curve x, out-of-range coordinates, wrong
+length, or an element outside the order-p subgroup are all rejected.
+deserialize_evaluation_point, for s1 points that a pairing only
+evaluates lines at, runs the same checks but the subgroup one (a pt_mul
+by p, nearly all of a strict decode's cost) and rejects y = 0; it is
+sound only where the bytes are signed, as absc does for every
+ciphertext point but psi (see the pairing module docstring).  Identity
+elements never occur in honest protocol data and are not serializable.
 """
 
 import hashlib
@@ -250,9 +256,10 @@ class GroupContext:
         final_exp maps it to the product of the pairings, and it is a
         homomorphism, so products, powers and inverses of these values
         need one final exponentiation in all; e(a^-1, b) = e(a, b)^-1
-        gives ratios.  Pairs whose b is fixed (GroupElement.fixed) share
-        one loop over the b's stored lines; any other pair runs
-        tate_miller.
+        gives ratios.  Every pair walks b and only evaluates at a, so
+        only b needs to be in the order-p subgroup: pairs whose b is
+        fixed (GroupElement.fixed) share one loop over the b's stored
+        lines, and any other pair runs tate_miller over b.
         """
         q = self.params.q
         f = _pr.FQ2_ONE
@@ -262,8 +269,8 @@ class GroupContext:
             self._want(b, self.key_group)
             if a.point is None or b.point is None:
                 continue
-            if b.lines is None:
-                f = _pr.fq2_mul(f, _pr.tate_miller(a.point, b.point, self.params), q)
+            if b.lines is None:  # walk b, evaluate at a, as the stored lines do
+                f = _pr.fq2_mul(f, _pr.tate_miller(b.point, a.point, self.params), q)
                 continue
             if not b.lines:  # first use; a racing thread builds the same table
                 b.lines = _pr.miller_lines(b.point, self.params)
@@ -341,6 +348,31 @@ class GroupContext:
             if el == _pr.FQ2_ONE or _pr.fq2_exp(el, self.p, q) != _pr.FQ2_ONE:
                 raise DecodeError("not in the target subgroup")
             return GroupElement(self, "gt", el)
+        pt = self._curve_point(data, group)
+        if _pr.pt_mul(pt, self.p, q) is not None:
+            raise DecodeError("point outside the order-p subgroup")
+        return GroupElement(self, group, pt)
+
+    def deserialize_evaluation_point(self, data):
+        """Decode of an s1 point that pairings only evaluate lines at.
+
+        deserialize_element's checks but the subgroup one (tag, length,
+        range, x on the curve), plus y != 0.  The reduced pairing cannot
+        see a cofactor-order shift of such a point (pairing module
+        docstring), so the caller must bind the bytes another way: absc
+        signs them into pi.
+        """
+        if not isinstance(data, (bytes, bytearray)):
+            raise DecodeError("expected bytes")
+        pt = self._curve_point(data, "s1")
+        if pt[1] == 0:
+            raise DecodeError("point of order two")
+        return GroupElement(self, "s1", pt)
+
+    def _curve_point(self, data, group):
+        """Tag, length, range and on-curve checks of a point encoding."""
+        w = self.params.fq_bytes
+        q = self.params.q
         if len(data) != 1 + w:
             raise DecodeError("bad element length")
         even, odd = _TAGS[group]
@@ -352,9 +384,7 @@ class GroupContext:
         pt = _pr.pt_decompress(x, data[0] == odd, q, self.params.sqrt_exp)
         if pt is None:
             raise DecodeError("x is not on the curve")
-        if _pr.pt_mul(pt, self.p, q) is not None:
-            raise DecodeError("point outside the order-p subgroup")
-        return GroupElement(self, group, pt)
+        return pt
 
     def _own(self, el):
         if not isinstance(el, GroupElement) or el.ctx.profile != self.profile:

@@ -13,8 +13,9 @@ exactly the devices whose attributes satisfy its policy:
     new block to its push targets.
   * DeviceNode: ingests blocks in the canonical block JSON, pushed by the
     edge or pulled from it; enforces the freshness window, checks the
-    payload digest against the header, strictly decodes the payload (no
-    other role decodes curve points), and designcrypts.  Non-satisfying
+    payload digest against the header, decodes the payload (psi strictly,
+    the signed evaluation points on-curve only; no other role decodes
+    curve points), and designcrypts.  Non-satisfying
     payloads are silently ignored; a satisfying payload that fails
     verification raises an integrity alarm event.
 

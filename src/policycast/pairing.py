@@ -41,6 +41,23 @@ arithmetic and no inversion: about a third of a Miller loop.  Tables all
 follow the bits of r, so several (table, Q) pairs share one loop and its
 squarings; a pair evaluated at -Q = (xq, -yq) contributes the conjugate,
 which the final exponentiation turns into the inverse.
+
+Walked and evaluated points.  Only the walked point must have order r:
+the loop relies on rP = O to end in the vertical chord.  The reduced
+pairing depends on the evaluation point Q only modulo rE, because the
+Tate pairing is trivial on rE in its second argument.  q + 1 = c*r with
+r coprime to c, so any Q' of E(F_q) is Q + h with Q of order r and h of
+order dividing c; h = r*(r^-1 mod ord(h))*h lies in rE(F_q), and so
+does phi(h) in E(F_q2).  Hence Q' and Q give the same reduced pairing
+against any walked point, and an evaluation point needs only to be on
+the curve, not a pt_mul by r (Barreto et al., "Subgroup security in
+pairing-based cryptography", LATINCRYPT 2015).  The flip side is that
+the pairing cannot tell Q' from Q, so a protocol that pairs against
+points it has not subgroup-checked must bind their bytes some other
+way (absc signs them).  Evaluation points must also have y != 0: the
+only such point, (0, 0), has order two, every line's i-part vanishes at
+it, and with y != 0 no line value is zero, so tate_final_exp's
+inversion is always defined.
 """
 
 
@@ -386,10 +403,3 @@ def tate_final_exp(f, params):
     finv = (a * n % q, -b * n % q)
     g = fq2_mul(conj, finv, q)
     return fq2_exp(g, params.c, q)
-
-
-def tate_pairing(P, Q, params):
-    """Reduced Tate pairing e(P, phi(Q)); inputs are E(F_q) points of order r."""
-    if P is None or Q is None:
-        return FQ2_ONE
-    return tate_final_exp(tate_miller(P, Q, params), params)

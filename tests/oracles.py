@@ -6,7 +6,11 @@ denominators in the Miller loop, a full (q^2 - 1)/r final power, and
 plain square-and-multiply.  The production engine shares none of these
 code paths (it uses Jacobian coordinates, denominator elimination, and a
 factored final exponentiation), so agreement is meaningful evidence.
+tate_pairing is the exception: the engine's own loop, kept here as the
+reference for the stored-line and argument-swapped paths.
 """
+
+from policycast import pairing as pr
 
 FQ2_ONE = (1, 0)
 
@@ -126,6 +130,33 @@ def naive_tate(P, Q, params):
             f = omul(f, oinv(_vertical_value(T, S, q), q), q)
     assert T is None, "input point does not have order r"
     return oexp(f, (q * q - 1) // r, q)
+
+
+def tate_pairing(P, Q, params):
+    """e(P, phi(Q)) through the engine's plain loop, P walked.
+
+    Unlike naive_tate this composes production code (tate_miller and
+    tate_final_exp); the tests use it as the reference for the paths
+    that reorder or precompute that loop.
+    """
+    if P is None or Q is None:
+        return FQ2_ONE
+    return pr.tate_final_exp(pr.tate_miller(P, Q, params), params)
+
+
+def cofactor_point(params, rng):
+    """A random point of E(F_q) of order > 1 dividing the cofactor.
+
+    r times a random curve point: its order-r part is gone, so adding it
+    to a subgroup point moves that point out of the subgroup.
+    """
+    q = params.q
+    while True:
+        pt = pr.pt_decompress(rng.randrange(q), rng.random() < 0.5, q,
+                              params.sqrt_exp)
+        h = pt and pr.pt_mul(pt, params.r, q)
+        if h is not None:
+            return h
 
 
 # ---------------------------------------------------------------------------

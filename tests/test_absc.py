@@ -1,6 +1,7 @@
 """Signcryption scheme: algebraic identities, round trips, wire form."""
 
 import dataclasses
+import hashlib
 import random
 import time
 
@@ -9,6 +10,7 @@ import pytest
 import oracles
 from policycast import absc, pairing
 from policycast.groups import DecodeError, GroupContext, GroupElement
+from policycast.nodes import DeviceNode, ManualClock
 from policycast.policy import lagrange_coeff, parse_policy, satisfies
 
 
@@ -433,6 +435,95 @@ def test_public_params_wire_round_trip(scheme):
     assert back.ctx.profile == pp.ctx.profile
     with pytest.raises(DecodeError):
         absc.public_params_from_json({"profile": "SYMMETRIC_512", "h": "00"})
+
+
+# ---------------------------------------------------------------------------
+# the payload is signed: pi binds every byte but pi and psi
+
+# profile -> (policy, device attributes, a leaf the device does not use)
+BINDING_CASES = {
+    "ASYMMETRIC_159": ("(alpha, beta, gamma, delta)@3", ["alpha", "beta", "gamma"],
+                       "delta"),
+    "SYMMETRIC_512": ("alpha or beta", ["alpha"], "beta"),
+}
+
+
+@pytest.fixture
+def signed_payload(scheme):
+    """(pp, key, vk, st JSON, ct JSON, unused leaf) on each profile."""
+    pp, mk = scheme
+    policy, attrs, unused = BINDING_CASES[pp.ctx.profile.value]
+    rng = random.Random(149)
+    sk, vk = absc.signing_keygen(pp, mk, rng)
+    key = absc.keygen(pp, mk, attrs, rng)
+    st, ct = absc.signcrypt(pp, sk, b"bound payload", policy, rng)
+    return pp, key, vk, absc.st_to_json(st), absc.ct_to_json(ct), unused
+
+
+def device_receive(pp, key, vk, st_obj, ct_obj):
+    """Outcome and alarm details of a fresh device handed this payload."""
+    payload = absc.canonical_json({"st": st_obj, "ct": ct_obj})
+    pid = "ee" * 16
+    dev = DeviceNode("dev", pp, key, {pid: vk.key_ver.to_bytes().hex()}, 15,
+                     clock=ManualClock(18))
+    header = {"index": 1, "timestamp": 18,
+              "payload_digest": hashlib.sha256(payload).hexdigest()}
+    outcome = dev.receive(header, pid, payload)
+    return outcome, [e["detail"] for e in dev.events if e["event"] == "integrity-alarm"]
+
+
+def assert_verify_fails(pp, key, vk, st_obj, ct_obj):
+    transcript = {}
+    st = absc.st_from_json(pp.ctx, st_obj)
+    assert absc.designcrypt(pp, st, absc.ct_from_json(ct_obj), key, vk,
+                            transcript) is None
+    assert transcript["reason"] == "verify-failed"
+    assert device_receive(pp, key, vk, st_obj, ct_obj) == (
+        "alarm", ["designcrypt-failed"])
+
+
+def test_swapped_unused_leaf_fails_verification(signed_payload):
+    # anyone can compute g1^k; without the payload in pi, swapping it in
+    # for a leaf the reader never pairs still recovered the message
+    pp, key, vk, st_obj, ct_obj, unused = signed_payload
+    ctx = pp.ctx
+    assert device_receive(pp, key, vk, st_obj, ct_obj) == ("accepted", [])
+    fresh = (ctx.g1 ** ctx.random_scalar(random.Random(151))).to_bytes().hex()
+    leaves = [dict(leaf, c_y=fresh) if leaf["attr"] == unused else leaf
+              for leaf in st_obj["leaves"]]
+    assert leaves != st_obj["leaves"]
+    assert_verify_fails(pp, key, vk, dict(st_obj, leaves=leaves), ct_obj)
+
+
+def test_cofactor_shifted_points_fail_verification(signed_payload):
+    # C, w and a used C_y are only evaluated at, so the pairings cannot
+    # see the shift (designcrypt gets as far as the check); pi does
+    pp, key, vk, st_obj, ct_obj, _ = signed_payload
+    ctx = pp.ctx
+    rng = random.Random(157)
+    used = BINDING_CASES[ctx.profile.value][1][0]
+
+    def shifted(point_hex):
+        pt = ctx.deserialize_element(bytes.fromhex(point_hex), "s1").point
+        moved = pairing.pt_add(pt, oracles.cofactor_point(ctx.params, rng),
+                               ctx.params.q)
+        return GroupElement(ctx, "s1", moved).to_bytes().hex()
+
+    leaves = [dict(leaf, c_y=shifted(leaf["c_y"])) if leaf["attr"] == used
+              else leaf for leaf in st_obj["leaves"]]
+    for bad in (dict(st_obj, c=shifted(st_obj["c"])),
+                dict(st_obj, w=shifted(st_obj["w"])),
+                dict(st_obj, leaves=leaves)):
+        assert_verify_fails(pp, key, vk, bad, ct_obj)
+
+
+def test_order_two_point_alarms_at_decode(signed_payload):
+    pp, key, vk, st_obj, ct_obj, _ = signed_payload
+    zero = "02" + "00" * pp.ctx.params.fq_bytes  # (0, 0)
+    with pytest.raises(DecodeError, match="order two"):
+        absc.st_from_json(pp.ctx, dict(st_obj, c=zero))
+    outcome, alarms = device_receive(pp, key, vk, dict(st_obj, c=zero), ct_obj)
+    assert outcome == "alarm" and alarms == ["decode: point of order two"]
 
 
 def test_tamper_smoke(scheme_asym):

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from policycast import pairing as pr
 from policycast.groups import (ConfigurationError, DecodeError, GroupContext,
-                               GroupMismatchError, Scalar)
+                               GroupElement, GroupMismatchError, Scalar)
 from policycast.policy import lagrange_coeff
 
 # frozen first-build serializations; any engine change that moves these
@@ -127,7 +127,7 @@ def test_pairing_matches_naive_oracle(ctx):
         b = rng.randrange(1, ps.r)
         P = pr.pt_mul(ps.g1, a, ps.q)
         Q = pr.pt_mul(base2, b, ps.q)
-        assert pr.tate_pairing(P, Q, ps) == oracles.naive_tate(P, Q, ps)
+        assert oracles.tate_pairing(P, Q, ps) == oracles.naive_tate(P, Q, ps)
 
 
 def test_source_group_is_cyclic(ctx):
@@ -146,7 +146,7 @@ def test_fixed_argument_lines_match_the_pairing(ctx):
         B = pr.pt_mul(base2, rng.randrange(1, ps.r), ps.q)
         lines = pr.miller_lines(B, ps)
         got = pr.tate_final_exp(pr.fixed_miller([(lines, A)], ps), ps)
-        assert got == pr.tate_pairing(B, A, ps)  # the arguments swapped
+        assert got == oracles.tate_pairing(B, A, ps)  # the arguments swapped
         if k < 2:
             assert got == oracles.naive_tate(A, B, ps)
     # several pairs share one loop; a negated point inverts its pairing
@@ -154,7 +154,7 @@ def test_fixed_argument_lines_match_the_pairing(ctx):
     B2 = pr.pt_mul(base2, rng.randrange(1, ps.r), ps.q)
     pairs = [(lines, A), (pr.miller_lines(B2, ps), pr.pt_neg(A2, ps.q))]
     want = oracles.omul(oracles.naive_tate(A, B, ps),
-                        oracles.oinv(pr.tate_pairing(A2, B2, ps), ps.q), ps.q)
+                        oracles.oinv(oracles.tate_pairing(A2, B2, ps), ps.q), ps.q)
     assert pr.tate_final_exp(pr.fixed_miller(pairs, ps), ps) == want
     # the pinned e(g1, g2) through g2's lines, in a fresh context
     fresh = GroupContext(ctx.profile.value)
@@ -287,6 +287,53 @@ def test_decode_rejects_off_curve_x(ctx):
             if found == 3:
                 return
     raise AssertionError("no off-curve x found in range")
+
+
+def test_evaluation_point_ignores_a_cofactor_shift(ctx):
+    # the reduced pairing is trivial on rE in its second argument, so the
+    # point a pairing only evaluates at may carry a cofactor-order part,
+    # through stored lines and through tate_miller alike
+    ps = ctx.params
+    rng = random.Random(43)
+    base2 = ps.g2pre or ps.g1
+    for _ in range(3):
+        K = pr.pt_mul(base2, rng.randrange(1, ps.r), ps.q)  # walked
+        Q = pr.pt_mul(ps.g1, rng.randrange(1, ps.r), ps.q)  # evaluated
+        shifted = pr.pt_add(Q, oracles.cofactor_point(ps, rng), ps.q)
+        assert pr.pt_mul(shifted, ps.r, ps.q) is not None
+        want = oracles.naive_tate(Q, K, ps)
+        lines = pr.miller_lines(K, ps)
+        for pt in (Q, shifted):
+            assert pr.tate_final_exp(pr.fixed_miller([(lines, pt)], ps), ps) == want
+            assert pr.tate_final_exp(pr.tate_miller(K, pt, ps), ps) == want
+        # a plain key-side element is walked too
+        got = ctx.pair(GroupElement(ctx, "s1", Q), GroupElement(ctx, ctx.key_group, K))
+        assert got.point == want
+
+
+def test_evaluation_point_decode(ctx):
+    ps = ctx.params
+    w = ps.fq_bytes
+    rng = random.Random(47)
+    el = ctx.g1 ** ctx.random_scalar(rng)
+    good = el.to_bytes()
+    assert ctx.deserialize_evaluation_point(good) == el
+    # on the curve, outside the subgroup: only the strict path refuses it
+    shifted = GroupElement(ctx, "s1", pr.pt_add(
+        el.point, oracles.cofactor_point(ps, rng), ps.q)).to_bytes()
+    with pytest.raises(DecodeError, match="subgroup"):
+        ctx.deserialize_element(shifted, "s1")
+    assert ctx.deserialize_evaluation_point(shifted).to_bytes() == shifted
+    # (0, 0): order two, and no line value may vanish
+    with pytest.raises(DecodeError, match="order two"):
+        ctx.deserialize_evaluation_point(b"\x02" + bytes(w))
+    off_x = next(x for x in range(1, 1000)
+                 if pr.pt_decompress(x, False, ps.q, ps.sqrt_exp) is None)
+    for bad in (b"\x0a" + good[1:], good[:-1], good + b"\x00",
+                good[:1] + ps.q.to_bytes(w, "big"),
+                good[:1] + off_x.to_bytes(w, "big"), good.hex()):
+        with pytest.raises(DecodeError):
+            ctx.deserialize_evaluation_point(bad)
 
 
 def test_decode_rejects_out_of_subgroup_point(ctx):

@@ -520,6 +520,25 @@ def test_device_builds_key_lines_on_its_first_message(authority, delivery,
     assert builds == []
 
 
+def test_device_subgroup_checks_only_psi(authority, delivery, monkeypatch):
+    # every other point is signed into pi and only evaluated at, so one
+    # receive does one pt_mul by p: psi's subgroup check
+    ta, bundles = authority
+    header, publisher, payload = delivery
+    dev = bare_device(ta, bundles)
+    assert dev.receive(header, publisher, payload) == "accepted"  # key_ver decoded
+    scalars = []
+    real = pairing.pt_mul
+
+    def counting(P, k, q):
+        scalars.append(k)
+        return real(P, k, q)
+
+    monkeypatch.setattr(pairing, "pt_mul", counting)
+    assert dev.receive(dict(header, index=2), publisher, payload) == "accepted"
+    assert scalars == [ta.ctx.p]
+
+
 def test_device_unknown_publisher_alarms(authority, delivery):
     ta, bundles = authority
     header, publisher, payload = delivery

@@ -8,6 +8,7 @@ Ops, on each curve profile:
     final_exp         one final exponentiation
     pt_mul_r          pt_mul by the group order (the decode subgroup check)
     decode_s1         strict decode of one s1 point
+    decode_eval       evaluation-point decode of one s1 point (on-curve only)
     designcrypt_warm  designcrypt, AND of n attributes, key reused
     designcrypt_cold  the same with a fresh copy of the key each call
 
@@ -74,6 +75,9 @@ def bench_profile(profile):
     ops += [("final_exp", lambda _: pr.tate_final_exp(f, ps)),
             ("pt_mul_r", lambda _: pr.pt_mul(a.point, ps.r, ps.q)),
             ("decode_s1", lambda _: ctx.deserialize_element(a_bytes, "s1"))]
+    if hasattr(ctx, "deserialize_evaluation_point"):
+        ops.append(("decode_eval",
+                    lambda _: ctx.deserialize_evaluation_point(a_bytes)))
     rows = [_row(profile, op, 1, _time(fn, REPEATS)) for op, fn in ops]
 
     pp, mk = absc.setup(ctx, rng)
