@@ -14,8 +14,12 @@ KeyGen:   d_enc = g2^((alpha + r_enc)/beta), and per attribute j
           key_ver = g2^(r_sign).
 SignCrypt: share s over the tree; C = h^s, per-leaf C_y = g1^(q_y(0)),
           C'_y = g1^(H2(attr) * q_y(0)); c_tilde = key_sym XOR
-          H1(ser(t^s)); w = g1^s; delta = e(C, g2)^zeta;
+          H1(ser(t^s)); w = g1^s; delta = e(C, g2)^zeta, computed as
+          e(h, g2)^(s * zeta) with e(h, g2) cached on the public
+          parameters by the first signcrypt, so signcrypt pairs nothing;
           pi = H1(msg) + H2(ser(delta) || B); psi = g2^zeta * key_sign^pi.
+          Every base signcrypt raises (g1, g2, h, key_sign) is fixed, so
+          each power reads the base's window table (GroupElement.fixed).
 DeSignCrypt: recover A = e(g1,g2)^(r_enc * s) from the leaf components,
           unmask via e(C, d_enc)/A = t^s, decrypt, then check
           delta' = e(C, psi) / (e(w, key_ver) * t^s)^pi against pi.
@@ -35,10 +39,13 @@ canonical payload with pi and psi removed (policy, c_tilde, C, the
 leaves, w, iv and body, in payload_bytes' canonical JSON), so every
 field but pi and psi is signed: the standard whole-ciphertext binding
 (Canetti, Halevi & Katz, EUROCRYPT 2004).  DeSignCrypt recomputes B
-from the decoded fields, so B signs their canonical form.  Because of B, st_from_json decodes C, w and the
-leaf points, which pairings only evaluate at, without a subgroup check
-(GroupContext.deserialize_evaluation_point); psi, which e(C, psi) walks,
-is decoded strictly.  Payloads signed without B do not verify.
+from the decoded fields, so B signs their canonical form; the shape
+step that relays and devices share refuses payload bytes in any other
+form, so one signed payload has one digest.  Because of B, st_from_json
+decodes C, w and the leaf points, which pairings only evaluate at,
+without a subgroup check (GroupContext.deserialize_evaluation_point);
+psi, which e(C, psi) walks, is decoded strictly.  Payloads signed
+without B do not verify.
 
 All hash-derived scalars are SHA-256 digests reduced mod p; the mask on
 the content key is the raw 32-byte digest.  Failure is a value: every
@@ -47,7 +54,7 @@ recovered message.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from cryptography.hazmat.primitives import padding as _padding
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -58,6 +65,7 @@ from .policy import (AccessTree, lagrange_coeff, normalize_attribute,
 
 KEY_BYTES = 32
 IV_BYTES = 16
+_KEPT_PUBLISHERS = 8  # decoded key pairs a PublicParams keeps
 
 
 def _rand_bytes(rng, n):
@@ -84,8 +92,38 @@ def hex_bytes(text, width=None):
 @dataclass(frozen=True)
 class PublicParams:
     ctx: GroupContext
-    h: object  # g1^beta
+    h: object  # g1^beta, a fixed base (GroupElement.fixed)
     t: object  # e(g1, g2)^alpha
+    _h_g2: object = field(default=None, init=False, repr=False, compare=False)
+    _publishers: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "h", self.h.fixed())
+
+    def h_g2(self):
+        """e(h, g2), computed by the first signcrypt and kept."""
+        if self._h_g2 is None:
+            object.__setattr__(self, "_h_g2", self.ctx.pair(self.h, self.ctx.g2))
+        return self._h_g2
+
+    def publisher_keys(self, key_sign_hex, key_ver_hex):
+        """(SigningKey, VerificationKey) from a publisher's key hex.
+
+        Strict-decoded on first use and kept, with the window table the
+        signing key builds; a full memo is emptied, so it holds at most
+        _KEPT_PUBLISHERS pairs.
+        """
+        pair = (key_sign_hex, key_ver_hex)
+        keys = self._publishers.get(pair)
+        if keys is None:
+            decode = self.ctx.deserialize_element
+            keys = (SigningKey(decode(bytes.fromhex(key_sign_hex), "s2")),
+                    VerificationKey(decode(bytes.fromhex(key_ver_hex), "s2")))
+            if len(self._publishers) >= _KEPT_PUBLISHERS:
+                self._publishers.clear()
+            self._publishers[pair] = keys
+        return keys
 
 
 @dataclass(frozen=True)
@@ -113,7 +151,10 @@ class AttributeKey:
 
 @dataclass(frozen=True)
 class SigningKey:
-    key_sign: object
+    key_sign: object  # a fixed base: signcrypt raises it to pi
+
+    def __post_init__(self):
+        object.__setattr__(self, "key_sign", self.key_sign.fixed())
 
 
 @dataclass(frozen=True)
@@ -199,9 +240,9 @@ def keygen(pp, mk, attributes, rng=None):
         raise ValueError("attribute set must be non-empty")
     r_enc = ctx.random_scalar(rng)
     beta_inv = mk.beta.inverse()
-    d_enc = (mk.g2_alpha * ctx.g2 ** r_enc) ** beta_inv
-    comps = {}
     g2_renc = ctx.g2 ** r_enc
+    d_enc = (mk.g2_alpha * g2_renc) ** beta_inv
+    comps = {}
     for attr in sorted(attrs):
         r_j = ctx.random_scalar(rng)
         d_j = g2_renc * ctx.g2 ** (_attr_hash(ctx, attr) * r_j)
@@ -216,8 +257,9 @@ def signing_keygen(pp, mk, rng=None):
     rng = rng or _SYSTEM_RNG
     r_sign = ctx.random_scalar(rng)
     beta_inv = mk.beta.inverse()
-    key_sign = (mk.g2_alpha * ctx.g2 ** r_sign) ** beta_inv
-    return SigningKey(key_sign), VerificationKey(ctx.g2 ** r_sign)
+    key_ver = ctx.g2 ** r_sign
+    key_sign = (mk.g2_alpha * key_ver) ** beta_inv
+    return SigningKey(key_sign), VerificationKey(key_ver)
 
 
 def signcrypt(pp, signing_key, msg, tree, rng=None, transcript=None):
@@ -247,7 +289,7 @@ def signcrypt(pp, signing_key, msg, tree, rng=None, transcript=None):
 
     st = SignedCiphertext(tree, c_tilde, c, leaf_c, w, None, None)
     zeta = ctx.random_scalar(rng)
-    delta = ctx.pair(c, ctx.g2) ** zeta
+    delta = pp.h_g2() ** (s * zeta)  # = e(C, g2)^zeta
     pi = _pi(ctx, msg, delta, st, ct_msg)
     psi = (ctx.g2 ** zeta) * (signing_key.key_sign ** pi)
     st = replace(st, pi=pi, psi=psi)
@@ -334,25 +376,30 @@ def designcrypt(pp, st, ct_msg, key, verification_key, transcript=None):
 # ---------------------------------------------------------------------------
 # wire form
 
+def _point_hex(p):
+    """Hex of a point field: an element, or its encoded bytes (_st_shape)."""
+    return (p if isinstance(p, bytes) else p.to_bytes()).hex()
+
+
 def _signed_json(st):
     """st_to_json without pi and psi: the part of st that B covers."""
     leaves = []
     for idx in st.tree.leaves():
         c_y, c_y_prime = st.leaf_c[idx]
         leaves.append({"attr": st.tree.nodes[idx].attribute,
-                       "c_y": c_y.to_bytes().hex(),
-                       "c_y_prime": c_y_prime.to_bytes().hex()})
+                       "c_y": _point_hex(c_y),
+                       "c_y_prime": _point_hex(c_y_prime)})
     return {
         "policy": policy_to_text(st.tree),
         "c_tilde": st.c_tilde.hex(),
-        "c": st.c.to_bytes().hex(),
+        "c": _point_hex(st.c),
         "leaves": leaves,
-        "w": st.w.to_bytes().hex(),
+        "w": _point_hex(st.w),
     }
 
 
 def st_to_json(st):
-    return dict(_signed_json(st), pi=str(st.pi.value), psi=st.psi.to_bytes().hex())
+    return dict(_signed_json(st), pi=str(st.pi.value), psi=_point_hex(st.psi))
 
 
 def _pi(ctx, msg, delta, st, ct_msg):
@@ -397,12 +444,16 @@ def _st_shape(ctx, obj):
 
 
 def st_from_json(ctx, obj):
-    """Decode; raises DecodeError on any structural problem.
+    """Decode; raises DecodeError on any structural problem."""
+    return _decode_points(ctx, _st_shape(ctx, obj))
+
+
+def _decode_points(ctx, st):
+    """The curve step after _st_shape.
 
     psi is decoded strictly; C, w and the leaf points, which are signed
     into pi and only evaluated at, are checked on the curve only.
     """
-    st = _st_shape(ctx, obj)
     pt = ctx.deserialize_evaluation_point
     return replace(st, c=pt(st.c), w=pt(st.w),
                    psi=ctx.deserialize_element(st.psi, "s2"),
@@ -441,17 +492,30 @@ def _payload_parts(data):
         raise DecodeError(f"malformed payload: {exc}") from None
 
 
-def payload_from_bytes(ctx, data):
-    """Full decode, curve points included (st_from_json): the devices' decoder."""
+def _payload_shape(ctx, data):
+    """Shape step shared by relays and devices; point fields stay bytes.
+
+    The bytes must be the canonical encoding of what they parse to
+    (policy_to_text, pi in plain decimal, the points' own encodings),
+    so a payload's digest is a function of its signed fields: no
+    respacing, leading zero or extra key yields a second digest.
+    """
     st_obj, ct_obj = _payload_parts(data)
-    return st_from_json(ctx, st_obj), ct_from_json(ct_obj)
+    st, ct_msg = _st_shape(ctx, st_obj), ct_from_json(ct_obj)
+    if payload_bytes(st, ct_msg) != data:
+        raise DecodeError("payload is not in canonical form")
+    return st, ct_msg
+
+
+def payload_from_bytes(ctx, data):
+    """Full decode, curve points included: the devices' decoder."""
+    st, ct_msg = _payload_shape(ctx, data)
+    return _decode_points(ctx, st), ct_msg
 
 
 def check_payload_shape(ctx, data):
     """The shape step of payload_from_bytes alone, for relays."""
-    st_obj, ct_obj = _payload_parts(data)
-    _st_shape(ctx, st_obj)
-    ct_from_json(ct_obj)
+    _payload_shape(ctx, data)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,13 @@ A key-side element made with GroupElement.fixed (g2, and every key
 point in absc) keeps its Miller lines, computed by its first pairing;
 pairings against it only evaluate them (pairing.fixed_miller).  Any
 other element pairs through the full loop (pairing.tate_miller), which
-walks it too: the s1 argument is always the evaluation point.
+walks it too: the s1 argument is always the evaluation point.  A fixed
+element also keeps a window table, built by its first ** and used by
+every later one (pairing.pt_mul_fixed): g1, g2, absc's h and a
+publisher's key_sign are raised that way, and the generators' tables
+are shared by every context of a profile.  A fixed element that is
+never raised, such as a device key, builds no table; any other base
+goes through pairing.pt_mul.
 
 Serialized form (all big-endian, fixed width per profile):
 
@@ -123,13 +129,14 @@ class Scalar:
 class GroupElement:
     """A tagged group element (or "miller" value), multiplicative notation."""
 
-    __slots__ = ("ctx", "group", "point", "lines")
+    __slots__ = ("ctx", "group", "point", "lines", "table")
 
     def __init__(self, ctx, group, point):
         self.ctx = ctx
         self.group = group
         self.point = point
         self.lines = None  # Miller lines of a fixed pairing argument
+        self.table = None  # window table of a fixed base for **
 
     def _check(self, other):
         if not isinstance(other, GroupElement):
@@ -157,7 +164,11 @@ class GroupElement:
         q = self.ctx.params.q
         if self.group in _FQ2_GROUPS:
             return GroupElement(self.ctx, self.group, _pr.fq2_exp(self.point, k, q))
-        return GroupElement(self.ctx, self.group, _pr.pt_mul(self.point, k, q))
+        if self.table is None or self.point is None:
+            return GroupElement(self.ctx, self.group, _pr.pt_mul(self.point, k, q))
+        if not self.table:  # first power; a racing thread builds the same table
+            self.table[:] = _pr.fixed_base_table(self.point, self.ctx.params)
+        return GroupElement(self.ctx, self.group, _pr.pt_mul_fixed(self.table, k, q))
 
     def inverse(self):
         q = self.ctx.params.q
@@ -168,15 +179,17 @@ class GroupElement:
         return GroupElement(self.ctx, self.group, _pr.pt_neg(self.point, q))
 
     def fixed(self):
-        """This element as a long-lived pairing argument, such as a key.
+        """This element as a long-lived pairing argument or base, such as a key.
 
         Pairings against the returned copy walk its Miller lines once,
-        on first use, and keep them on it (GroupContext.miller).
+        on first use, and keep them on it (GroupContext.miller); its
+        first ** builds its window table (pairing.fixed_base_table) and
+        keeps that too.
         """
         if self.lines is not None:
             return self
         el = GroupElement(self.ctx, self.group, self.point)
-        el.lines = ()  # not yet computed
+        el.lines, el.table = (), []  # not yet computed
         return el
 
     @property
@@ -224,9 +237,17 @@ class GroupContext:
         # group tag used for key-side ("second source") elements
         self.key_group = "s1" if self.symmetric else "s2"
         g2 = self.params.g1 if self.symmetric else self.params.g2pre
-        self.g2 = GroupElement(self, self.key_group, g2).fixed()
-        self.g1 = self.g2 if self.symmetric else GroupElement(self, "s1", self.params.g1)
+        self.g2 = self._generator(self.key_group, g2)
+        self.g1 = self.g2 if self.symmetric else self._generator("s1", self.params.g1)
         self._t0 = None
+
+    def _generator(self, group, point):
+        """A fixed generator whose window table every context of the
+        profile shares (CurveParams.tables), so a new context builds none;
+        the table is a function of the pinned point alone."""
+        el = GroupElement(self, group, point).fixed()
+        el.table = self.params.tables.setdefault(point, [])
+        return el
 
     # -- scalars ------------------------------------------------------------
 

@@ -560,14 +560,11 @@ class TrustedAuthority:
 def publish_message(pp, bundle, msg, policy, validator_url, rng=None):
     """Signcrypt msg under policy and submit the record to a validator.
 
-    bundle is the publisher's handoff bundle from the authority.
+    bundle is the publisher's handoff bundle from the authority; pp
+    decodes its keys once and keeps them (PublicParams.publisher_keys).
     Returns (record, response json).
     """
-    ctx = pp.ctx
-    sk = absc.SigningKey(
-        ctx.deserialize_element(bytes.fromhex(bundle["key_sign"]), "s2"))
-    vk = absc.VerificationKey(
-        ctx.deserialize_element(bytes.fromhex(bundle["key_ver"]), "s2"))
+    sk, vk = pp.publisher_keys(bundle["key_sign"], bundle["key_ver"])
     st, ct_msg = absc.signcrypt(pp, sk, msg, policy, rng)
     record = ledger.make_record(bundle["pseudo_id"], vk, st, ct_msg)
     resp = http_post_json(f"{validator_url}/records", ledger.record_to_json(record))

@@ -42,6 +42,19 @@ follow the bits of r, so several (table, Q) pairs share one loop and its
 squarings; a pair evaluated at -Q = (xq, -yq) contributes the conjugate,
 which the final exponentiation turns into the inverse.
 
+Fixed bases.  A point raised to many scalars (g1, g2, h, a signing
+key) keeps a window table (fixed_base_table; Brickell, Gordon, McCurley
+& Wilson, EUROCRYPT 1992): with w = FIXED_WINDOW, row j holds
+d * 2^(wj) * P for every digit d = 1 .. 2^w - 1, affine, one row per
+w-bit window of r (32 rows of 31 points at w = 5).  A row is built in
+Jacobian coordinates by adding its base, together with the next row's
+base (one doubling of 2^(w-1) times this one), and the row is made
+affine with one Montgomery batch inversion, so only one row is ever
+held in Jacobian form.  pt_mul_fixed then reads one entry per
+nonzero digit of k: about ceil(log2(r)/w) mixed additions and no
+doublings.  pt_mul, the double-and-add for any other base, and the
+tables share one Jacobian-plus-affine mixed addition, _jac_add_affine.
+
 Walked and evaluated points.  Only the walked point must have order r:
 the loop relies on rP = O to end in the vertical chord.  The reduced
 pairing depends on the evaluation point Q only modulo rE, because the
@@ -62,10 +75,10 @@ inversion is always defined.
 
 
 class CurveParams:
-    """Pinned constants for one curve profile."""
+    """Pinned constants for one curve profile, and its generators' tables."""
 
     __slots__ = ("name", "q", "r", "c", "g1", "g2pre", "symmetric",
-                 "fq_bytes", "r_bytes", "sqrt_exp", "r_tail")
+                 "fq_bytes", "r_bytes", "sqrt_exp", "r_tail", "tables")
 
     def __init__(self, name, q, r, c, g1, g2pre, symmetric):
         self.name = name
@@ -79,6 +92,7 @@ class CurveParams:
         self.r_bytes = (r.bit_length() + 7) // 8
         self.sqrt_exp = (q + 1) // 4  # sqrt(a) = a^((q+1)/4) when q = 3 mod 4
         self.r_tail = bin(r)[3:]  # bits of r after the leading one
+        self.tables = {}  # generator -> its fixed_base_table, filled on first use
 
 
 # 512-bit field, 160-bit group order; source groups coincide.
@@ -201,6 +215,56 @@ def _jac_double(X, Y, Z, q):
     return X2, Y2, Z2
 
 
+def _jac_add_affine(X, Y, Z, x, y, q):
+    """Jacobian (X, Y, Z) plus affine (x, y); Z = 0 is the point at infinity."""
+    if Z == 0:
+        return x, y, 1
+    Zsq = Z * Z % q
+    H = (x * Zsq - X) % q
+    R = (y * Z % q * Zsq - Y) % q
+    if H == 0:
+        if R == 0:
+            return _jac_double(X, Y, Z, q)  # T == P
+        return 0, 1, 0  # T == -P
+    H2 = H * H % q
+    H3 = H * H2 % q
+    X2 = (R * R - H3 - 2 * X * H2) % q
+    Y2 = (R * (X * H2 - X2) - Y * H3) % q
+    return X2, Y2, Z * H % q
+
+
+def _jac_to_affine(X, Y, Z, q):
+    if Z == 0:
+        return None
+    zinv = pow(Z, -1, q)
+    z2 = zinv * zinv % q
+    return X * z2 % q, Y * z2 % q * zinv % q
+
+
+def _batch_inv(values, q):
+    """Inverses of nonzero F_q values with one inversion (Montgomery's trick)."""
+    prefix = []
+    acc = 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % q
+    inv = pow(acc, -1, q)
+    out = [None] * len(values)
+    for k in range(len(values) - 1, -1, -1):
+        out[k] = inv * prefix[k] % q
+        inv = inv * values[k] % q
+    return out
+
+
+def _batch_to_affine(points, q):
+    """Affine forms of Jacobian points, none at infinity, with one inversion."""
+    out = []
+    for (X, Y, _), zinv in zip(points, _batch_inv([p[2] for p in points], q)):
+        z2 = zinv * zinv % q
+        out.append((X * z2 % q, Y * z2 % q * zinv % q))
+    return out
+
+
 def pt_mul(P, k, q):
     """k*P via Jacobian double-and-add; returns an affine point."""
     if P is None or k == 0:
@@ -213,30 +277,50 @@ def pt_mul(P, k, q):
         if Z:
             X, Y, Z = _jac_double(X, Y, Z, q)
         if bit == "1":
-            if Z == 0:
-                X, Y, Z = xp, yp, 1
-                continue
-            # mixed addition with the affine base point
-            Zsq = Z * Z % q
-            H = (xp * Zsq - X) % q
-            R = (yp * Z % q * Zsq - Y) % q
-            if H == 0:
-                if R == 0:
-                    X, Y, Z = _jac_double(X, Y, Z, q)  # T == P
-                else:
-                    X, Y, Z = 0, 1, 0  # T == -P
-                continue
-            H2 = H * H % q
-            H3 = H * H2 % q
-            X2 = (R * R - H3 - 2 * X * H2) % q
-            Y2 = (R * (X * H2 - X2) - Y * H3) % q
-            Z2 = Z * H % q
-            X, Y, Z = X2, Y2, Z2
-    if Z == 0:
-        return None
-    zinv = pow(Z, -1, q)
-    z2 = zinv * zinv % q
-    return X * z2 % q, Y * z2 % q * zinv % q
+            X, Y, Z = _jac_add_affine(X, Y, Z, xp, yp, q)
+    return _jac_to_affine(X, Y, Z, q)
+
+
+FIXED_WINDOW = 5  # bits per window of a fixed-base table
+
+
+def fixed_base_table(P, params):
+    """Window table of a fixed point P of order r, for pt_mul_fixed.
+
+    Row j holds d * 2^(wj) * P, affine, for d = 1 .. 2^w - 1, with one
+    row per w-bit window of r.
+    """
+    q = params.q
+    w = FIXED_WINDOW
+    half = 1 << (w - 1)
+    table = []
+    x, y = P  # the row's base, 2^(wj) * P
+    for _ in range(-(-params.r.bit_length() // w)):
+        row = [(x, y, 1)]
+        for _ in range(2 * half - 2):
+            row.append(_jac_add_affine(*row[-1], x, y, q))
+        row.append(_jac_double(*row[half - 1], q))  # the next base, 2^w * base
+        *row, (x, y) = _batch_to_affine(row, q)
+        table.append(row)
+    return table
+
+
+def pt_mul_fixed(table, k, q):
+    """k*P from P's fixed_base_table, for 0 <= k < 2^(w * rows).
+
+    One mixed addition per nonzero w-bit digit of k, no doublings.
+    """
+    mask = (1 << FIXED_WINDOW) - 1
+    X, Y, Z = 0, 1, 0
+    for row in table:
+        d = k & mask
+        if d:
+            x, y = row[d - 1]
+            X, Y, Z = _jac_add_affine(X, Y, Z, x, y, q)
+        k >>= FIXED_WINDOW
+    if k:
+        raise ValueError("scalar wider than the table")
+    return _jac_to_affine(X, Y, Z, q)
 
 
 def pt_decompress(x, y_is_odd, q, sqrt_exp):
@@ -356,20 +440,9 @@ def miller_lines(P, params):
             # tate_miller's chord Z2*yp - R*(xq + xp) - i*Z2*yq
             raw.append(((R * xp - Z2 * yp) % q, R, Z2, False))
             X, Y, Z = X2, Y2, Z2
-    # one inversion for all scales (Montgomery's trick)
-    prefix = []
-    acc = 1
-    for line in raw:
-        prefix.append(acc)
-        acc = acc * line[2] % q
-    inv = pow(acc, -1, q)
-    lines = [None] * len(raw)
-    for k in range(len(raw) - 1, -1, -1):
-        a, b, scale, doubling = raw[k]
-        s_inv = inv * prefix[k] % q
-        inv = inv * scale % q
-        lines[k] = (a * s_inv % q, b * s_inv % q, doubling)
-    return lines
+    inverses = _batch_inv([scale for _, _, scale, _ in raw], q)
+    return [(a * s_inv % q, b * s_inv % q, doubling)
+            for (a, b, _, doubling), s_inv in zip(raw, inverses)]
 
 
 def fixed_miller(pairs, params):

@@ -7,10 +7,17 @@ plain square-and-multiply.  The production engine shares none of these
 code paths (it uses Jacobian coordinates, denominator elimination, and a
 factored final exponentiation), so agreement is meaningful evidence.
 tate_pairing is the exception: the engine's own loop, kept here as the
-reference for the stored-line and argument-swapped paths.
+reference for the stored-line and argument-swapped paths.  So is
+signcrypt_reference, which composes it with pt_mul: the textbook paths
+that signcrypt's window tables and cached e(h, g2) replace.
 """
 
+from dataclasses import replace
+
+from policycast import absc
 from policycast import pairing as pr
+from policycast.groups import GroupElement
+from policycast.policy import parse_policy, share_secret
 
 FQ2_ONE = (1, 0)
 
@@ -157,6 +164,41 @@ def cofactor_point(params, rng):
         h = pt and pr.pt_mul(pt, params.r, q)
         if h is not None:
             return h
+
+
+# ---------------------------------------------------------------------------
+# signcrypt on raw points
+
+def signcrypt_reference(pp, signing_key, msg, policy, rng):
+    """absc.signcrypt with every power a pt_mul on the raw point and
+    delta = e(C, g2)^zeta through tate_pairing; the same rng draws in the
+    same order, so the payload bytes must match."""
+    ctx = pp.ctx
+    ps = ctx.params
+    q = ps.q
+    tree = parse_policy(policy)
+
+    def s1(k):
+        return GroupElement(ctx, "s1", pr.pt_mul(ps.g1, k.value, q))
+
+    key_sym = absc._rand_bytes(rng, absc.KEY_BYTES)
+    ct_msg = absc.sym_encrypt(key_sym, msg, rng)
+    s = ctx.random_scalar(rng)
+    shares = share_secret(tree, s, rng)
+    t_s = GroupElement(ctx, "gt", oexp(pp.t.point, s.value, q))
+    c_tilde = absc._xor(key_sym, ctx.hash_to_bits(t_s.to_bytes()))
+    c = GroupElement(ctx, "s1", pr.pt_mul(pp.h.point, s.value, q))
+    leaf_c = {idx: (s1(shares[idx]),
+                    s1(absc._attr_hash(ctx, tree.nodes[idx].attribute) * shares[idx]))
+              for idx in tree.leaves()}
+    st = absc.SignedCiphertext(tree, c_tilde, c, leaf_c, s1(s), None, None)
+    zeta = ctx.random_scalar(rng)
+    g2 = ctx.g2.point
+    delta = GroupElement(ctx, "gt", oexp(tate_pairing(g2, c.point, ps), zeta.value, q))
+    pi = absc._pi(ctx, msg, delta, st, ct_msg)
+    psi = pr.pt_add(pr.pt_mul(g2, zeta.value, q),
+                    pr.pt_mul(signing_key.key_sign.point, pi.value, q), q)
+    return replace(st, pi=pi, psi=GroupElement(ctx, ctx.key_group, psi)), ct_msg
 
 
 # ---------------------------------------------------------------------------

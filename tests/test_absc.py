@@ -278,6 +278,69 @@ def test_key_lines_are_built_on_first_use_only(scheme, monkeypatch):
     assert builds == []
 
 
+@pytest.mark.parametrize("seed", [3, 5, 7])
+def test_signcrypt_matches_raw_point_reference(scheme, seed):
+    pp, mk = scheme
+    rng = random.Random(400 + seed)
+    sk, _ = absc.signing_keygen(pp, mk, rng)
+    policy = "(alpha, beta, gamma)@2 and delta"
+    got = absc.signcrypt(pp, sk, b"one for the group", policy, random.Random(seed))
+    want = oracles.signcrypt_reference(pp, sk, b"one for the group", policy,
+                                       random.Random(seed))
+    assert absc.payload_bytes(*got) == absc.payload_bytes(*want)
+
+
+def test_warm_signcrypt_does_no_generic_work(scheme, monkeypatch):
+    # every base is fixed and e(h, g2) is kept: no pt_mul, Miller loop or
+    # final exponentiation once the tables exist
+    pp, mk = scheme
+    rng = random.Random(131)
+    sk, _ = absc.signing_keygen(pp, mk, rng)
+    absc.signcrypt(pp, sk, b"warm-up", "a and b", rng)
+    calls = []
+
+    def counting(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for name in ("pt_mul", "tate_miller", "miller_lines", "fixed_miller",
+                 "tate_final_exp", "fixed_base_table"):
+        monkeypatch.setattr(pairing, name, counting(name, getattr(pairing, name)))
+    absc.signcrypt(pp, sk, b"warm", "(a, b, c)@2 and d", rng)
+    assert calls == []
+
+
+def test_public_params_keep_a_few_publisher_keys(scheme_asym, monkeypatch):
+    pp, mk = scheme_asym
+    pp = absc.PublicParams(pp.ctx, pp.h, pp.t)  # an empty memo
+    rng = random.Random(139)
+    pairs = []
+    for _ in range(absc._KEPT_PUBLISHERS + 1):
+        sk, vk = absc.signing_keygen(pp, mk, rng)
+        pairs.append((sk.key_sign.to_bytes().hex(), vk.key_ver.to_bytes().hex()))
+    decodes = []
+    real = GroupContext.deserialize_element
+
+    def counting(self, data, group):
+        decodes.append(group)
+        return real(self, data, group)
+
+    monkeypatch.setattr(GroupContext, "deserialize_element", counting)
+    first = pp.publisher_keys(*pairs[0])
+    assert first[0].key_sign.to_bytes().hex() == pairs[0][0]
+    assert pp.publisher_keys(*pairs[0]) is first and len(decodes) == 2
+    for pair in pairs[1:-1]:
+        pp.publisher_keys(*pair)
+    assert pp.publisher_keys(*pairs[0]) is first
+    assert len(decodes) == 2 * absc._KEPT_PUBLISHERS
+    pp.publisher_keys(*pairs[-1])  # one more than the memo holds: it empties
+    assert pp.publisher_keys(*pairs[0]) is not first
+    with pytest.raises(DecodeError):
+        pp.publisher_keys("02" + "00" * pp.ctx.params.fq_bytes, pairs[0][1])
+
+
 def test_designcrypt_failure_reasons(scheme_asym):
     pp, mk = scheme_asym
     ctx = pp.ctx

@@ -183,6 +183,29 @@ def test_pairing_path_follows_the_key_side_element(ctx):
         ctx.pair(a, b) * m
 
 
+def test_fixed_base_table_matches_pt_mul(ctx):
+    ps, p = ctx.params, ctx.p
+    w = pr.FIXED_WINDOW
+    rng = random.Random(41)
+    ks = [0, 1, 2 ** w - 1, 2 ** w, p - 1, p] + [rng.randrange(p) for _ in range(50)]
+    plain = ctx.g1 ** ctx.random_scalar(rng)
+    for el in {ctx.g1, ctx.g2, plain}:
+        fixed = el.fixed()
+        for k in ks:
+            want = pr.pt_mul(el.point, k % p, ps.q)
+            assert (fixed ** k).point == want
+            assert (fixed ** Scalar(k, p)).point == want
+        table = fixed.table
+        assert len(table) == -(-ps.r.bit_length() // w)
+        assert all(len(row) == 2 ** w - 1 for row in table)
+        fixed ** 3
+        assert fixed.table is table  # built once, then kept
+    assert plain.table is None  # only fixed elements build tables
+    assert GroupContext(ctx.profile.value).g1.table is ctx.g1.table  # one per profile
+    with pytest.raises(ValueError):
+        pr.pt_mul_fixed(table, 1 << (w * len(table)), ps.q)
+
+
 def test_inverses_match_oracle(ctx):
     q, p = ctx.params.q, ctx.p
     rng = random.Random(41)

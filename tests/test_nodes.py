@@ -291,8 +291,12 @@ def signcrypted_parts(ta, bundles, msg=MESSAGE, seed=31):
 
 def record_for(bundles, st_obj, ct_obj):
     """The registered publisher's record over any payload JSON, digests intact."""
+    return record_over(bundles, absc.canonical_json({"st": st_obj, "ct": ct_obj}))
+
+
+def record_over(bundles, payload):
+    """The registered publisher's record over any payload bytes, digests intact."""
     sp = bundles["sp"]
-    payload = absc.canonical_json({"st": st_obj, "ct": ct_obj})
     return ledger.Record(hashlib.sha256(bytes.fromhex(sp["key_ver"])).digest(),
                          sp["pseudo_id"], hashlib.sha256(payload).digest(), payload)
 
@@ -385,6 +389,43 @@ def test_off_curve_point_passes_relays_and_alarms_devices(authority, stack_facto
         assert dev.accepted == []
         alarms = [e["detail"] for e in dev.events if e["event"] == "integrity-alarm"]
         assert len(alarms) == 1 and alarms[0].startswith("decode:"), alarms
+
+
+def test_non_canonical_payload_bytes_are_refused(authority, stack_factory):
+    # each variant parses to the signed fields of one honest payload but
+    # has its own digest; relays and devices alike refuse it
+    ta, bundles = authority
+    stack = stack_factory()
+    st_obj, ct_obj = signcrypted_parts(ta, bundles)
+    honest = {"st": st_obj, "ct": ct_obj}
+    variants = [
+        dict(honest, st=dict(st_obj, pi="0" + st_obj["pi"])),
+        dict(honest, st=dict(st_obj, policy=st_obj["policy"].replace(" ", "  "))),
+        dict(honest, st=dict(st_obj, note="x")),
+        dict(honest, note="x"),
+    ]
+    payloads = [absc.canonical_json(v) for v in variants]
+    payloads.append(json.dumps(honest, sort_keys=True).encode())  # whitespace
+    assert len({absc.canonical_json(honest), *payloads}) == 6
+    pid = bundles["sp"]["pseudo_id"]
+    for payload in [absc.canonical_json(honest)] + payloads:
+        json.loads(payload)  # valid JSON, every one
+        resp = http_post_json(f"{stack.validator.url}/records",
+                              ledger.record_to_json(record_over(bundles, payload)))
+        dev = bare_device(ta, bundles)
+        header = {"index": 1, "timestamp": 18,
+                  "payload_digest": hashlib.sha256(payload).hexdigest()}
+        outcome = dev.receive(header, pid, payload)
+        alarms = [e["detail"] for e in dev.events if e["event"] == "integrity-alarm"]
+        if payload == absc.canonical_json(honest):  # the counters are live
+            assert resp.json() == {"status": "accepted"}
+            assert outcome == "accepted"
+            continue
+        assert resp.status_code == 400
+        assert resp.json()["reason"] == "structure: payload is not in canonical form"
+        assert outcome == "alarm"
+        assert alarms == ["decode: payload is not in canonical form"]
+    assert len(stack.validator.pending) == 1
 
 
 def test_validator_appends_each_sealed_block(authority, stack_factory, tmp_path,
@@ -537,6 +578,59 @@ def test_device_subgroup_checks_only_psi(authority, delivery, monkeypatch):
     monkeypatch.setattr(pairing, "pt_mul", counting)
     assert dev.receive(dict(header, index=2), publisher, payload) == "accepted"
     assert scalars == [ta.ctx.p]
+
+
+def test_device_builds_no_window_table(authority, delivery, monkeypatch):
+    ta, bundles = authority
+    header, publisher, payload = delivery
+    builds = []
+    real = pairing.fixed_base_table
+
+    def counting(P, params):
+        builds.append(P)
+        return real(P, params)
+
+    monkeypatch.setattr(pairing, "fixed_base_table", counting)
+    dev = bare_device(ta, bundles)
+    assert dev.receive(header, publisher, payload) == "accepted"
+    assert builds == []
+
+
+def test_publisher_keys_and_tables_are_built_once(monkeypatch):
+    # a fresh authority, whose public parameters hold no decoded keys yet
+    ta = TrustedAuthority("ASYMMETRIC_159", random.Random(0x7AB1E))
+    sp = ta.register("publisher", "sp")
+    decodes, builds = [], []
+    real_decode = GroupContext.deserialize_element
+    real_build = pairing.fixed_base_table
+
+    def decode(self, data, group):
+        decodes.append(data.hex())
+        return real_decode(self, data, group)
+
+    def build(P, params):
+        builds.append(P)
+        return real_build(P, params)
+
+    class Accepted:
+        def json(self):
+            return {"status": "accepted"}
+
+    monkeypatch.setattr(GroupContext, "deserialize_element", decode)
+    monkeypatch.setattr(pairing, "fixed_base_table", build)
+    monkeypatch.setattr(nodes, "http_post_json", lambda url, obj: Accepted())
+    rng = random.Random(3)
+    record, _ = publish_message(ta.pp, sp, MESSAGE, POLICY, "http://x", rng)
+    assert sorted(decodes) == sorted([sp["key_sign"], sp["key_ver"]])
+    # g1's and g2's tables are the profile's, built before; signcrypt
+    # builds h's and key_sign's
+    key_sign = real_decode(ta.ctx, bytes.fromhex(sp["key_sign"]), "s2")
+    assert sorted(builds) == sorted([ta.pp.h.point, key_sign.point])
+    decodes.clear()
+    builds.clear()
+    again, _ = publish_message(ta.pp, sp, MESSAGE, POLICY, "http://x", rng)
+    assert (decodes, builds) == ([], [])
+    assert again.publisher_pk_digest == record.publisher_pk_digest
 
 
 def test_device_unknown_publisher_alarms(authority, delivery):

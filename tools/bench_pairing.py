@@ -7,8 +7,12 @@ Ops, on each curve profile:
     miller_lines      the line precompute for one fixed point
     final_exp         one final exponentiation
     pt_mul_r          pt_mul by the group order (the decode subgroup check)
+    pt_mul            pt_mul of an s1 point by a random scalar
+    pt_mul_fixed      the same product from the point's warm window table
+    table_build       the window table of one fixed point
     decode_s1         strict decode of one s1 point
     decode_eval       evaluation-point decode of one s1 point (on-curve only)
+    signcrypt_warm    signcrypt, AND of n attributes, signing key reused
     designcrypt_warm  designcrypt, AND of n attributes, key reused
     designcrypt_cold  the same with a fresh copy of the key each call
 
@@ -72,12 +76,18 @@ def bench_profile(profile):
         lines = pr.miller_lines(b.point, ps)
         ops += [("fixed_miller", lambda _: pr.fixed_miller([(lines, a.point)], ps)),
                 ("miller_lines", lambda _: pr.miller_lines(b.point, ps))]
+    k = ctx.random_scalar(rng).value
     ops += [("final_exp", lambda _: pr.tate_final_exp(f, ps)),
             ("pt_mul_r", lambda _: pr.pt_mul(a.point, ps.r, ps.q)),
+            ("pt_mul", lambda _: pr.pt_mul(a.point, k, ps.q)),
             ("decode_s1", lambda _: ctx.deserialize_element(a_bytes, "s1"))]
     if hasattr(ctx, "deserialize_evaluation_point"):
         ops.append(("decode_eval",
                     lambda _: ctx.deserialize_evaluation_point(a_bytes)))
+    if hasattr(pr, "fixed_base_table"):
+        table = pr.fixed_base_table(a.point, ps)
+        ops += [("pt_mul_fixed", lambda _: pr.pt_mul_fixed(table, k, ps.q)),
+                ("table_build", lambda _: pr.fixed_base_table(a.point, ps))]
     rows = [_row(profile, op, 1, _time(fn, REPEATS)) for op, fn in ops]
 
     pp, mk = absc.setup(ctx, rng)
@@ -97,6 +107,9 @@ def bench_profile(profile):
             if absc.designcrypt(pp, st, ct, *keys) is None:
                 raise RuntimeError(f"designcrypt failed on {profile}, n={n}")
 
+        rows.append(_row(profile, "signcrypt_warm", n, _time(
+            lambda _: absc.signcrypt(pp, sk, b"x" * 1024, " and ".join(attrs), rng),
+            REPEATS)))
         rows.append(_row(profile, "designcrypt_warm", n,
                          _time(designcrypt, REPEATS, lambda: (key, vk))))
         rows.append(_row(profile, "designcrypt_cold", n,
