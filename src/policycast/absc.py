@@ -65,7 +65,6 @@ from .policy import (AccessTree, lagrange_coeff, normalize_attribute,
 
 KEY_BYTES = 32
 IV_BYTES = 16
-_KEPT_PUBLISHERS = 8  # decoded key pairs a PublicParams keeps
 
 
 def _rand_bytes(rng, n):
@@ -95,7 +94,7 @@ class PublicParams:
     h: object  # g1^beta, a fixed base (GroupElement.fixed)
     t: object  # e(g1, g2)^alpha
     _h_g2: object = field(default=None, init=False, repr=False, compare=False)
-    _publishers: dict = field(default_factory=dict, init=False, repr=False,
+    _publisher: tuple = field(default=None, init=False, repr=False,
                               compare=False)
 
     def __post_init__(self):
@@ -110,20 +109,16 @@ class PublicParams:
     def publisher_keys(self, key_sign_hex, key_ver_hex):
         """(SigningKey, VerificationKey) from a publisher's key hex.
 
-        Strict-decoded on first use and kept, with the window table the
-        signing key builds; a full memo is emptied, so it holds at most
-        _KEPT_PUBLISHERS pairs.
+        Strict-decoded on first use; the last decoded pair is kept, with
+        the window table the signing key builds, until another pair comes.
         """
         pair = (key_sign_hex, key_ver_hex)
-        keys = self._publishers.get(pair)
-        if keys is None:
+        if self._publisher is None or self._publisher[0] != pair:
             decode = self.ctx.deserialize_element
             keys = (SigningKey(decode(bytes.fromhex(key_sign_hex), "s2")),
                     VerificationKey(decode(bytes.fromhex(key_ver_hex), "s2")))
-            if len(self._publishers) >= _KEPT_PUBLISHERS:
-                self._publishers.clear()
-            self._publishers[pair] = keys
-        return keys
+            object.__setattr__(self, "_publisher", (pair, keys))
+        return self._publisher[1]
 
 
 @dataclass(frozen=True)

@@ -312,12 +312,12 @@ def test_warm_signcrypt_does_no_generic_work(scheme, monkeypatch):
     assert calls == []
 
 
-def test_public_params_keep_a_few_publisher_keys(scheme_asym, monkeypatch):
+def test_public_params_keep_the_last_publisher_keys(scheme_asym, monkeypatch):
     pp, mk = scheme_asym
-    pp = absc.PublicParams(pp.ctx, pp.h, pp.t)  # an empty memo
+    pp = absc.PublicParams(pp.ctx, pp.h, pp.t)  # nothing kept yet
     rng = random.Random(139)
     pairs = []
-    for _ in range(absc._KEPT_PUBLISHERS + 1):
+    for _ in range(2):
         sk, vk = absc.signing_keygen(pp, mk, rng)
         pairs.append((sk.key_sign.to_bytes().hex(), vk.key_ver.to_bytes().hex()))
     decodes = []
@@ -330,15 +330,14 @@ def test_public_params_keep_a_few_publisher_keys(scheme_asym, monkeypatch):
     monkeypatch.setattr(GroupContext, "deserialize_element", counting)
     first = pp.publisher_keys(*pairs[0])
     assert first[0].key_sign.to_bytes().hex() == pairs[0][0]
+    assert first[1].key_ver.to_bytes().hex() == pairs[0][1]
     assert pp.publisher_keys(*pairs[0]) is first and len(decodes) == 2
-    for pair in pairs[1:-1]:
-        pp.publisher_keys(*pair)
-    assert pp.publisher_keys(*pairs[0]) is first
-    assert len(decodes) == 2 * absc._KEPT_PUBLISHERS
-    pp.publisher_keys(*pairs[-1])  # one more than the memo holds: it empties
-    assert pp.publisher_keys(*pairs[0]) is not first
+    second = pp.publisher_keys(*pairs[1])  # another pair replaces the kept one
+    assert second[0].key_sign.to_bytes().hex() == pairs[1][0]
+    assert pp.publisher_keys(*pairs[1]) is second and len(decodes) == 4
     with pytest.raises(DecodeError):
         pp.publisher_keys("02" + "00" * pp.ctx.params.fq_bytes, pairs[0][1])
+    assert pp.publisher_keys(*pairs[1]) is second  # a bad key is not kept
 
 
 def test_designcrypt_failure_reasons(scheme_asym):
