@@ -295,7 +295,8 @@ def signcrypt(pp, signing_key, msg, tree, rng=None, transcript=None):
 
 
 def _decrypt_core(pp, st, key, node):
-    """Unreduced decrypt_node: a "miller" element, or None if unsatisfied.
+    """The decryption tree at a node, unreduced: a "miller" element, or None
+    if the key's attributes do not satisfy the subtree rooted there.
 
     Each chosen leaf contributes m(C_y, d_j) / m(C'_y, d'_j) raised to
     its flattened coefficient, the product of the Lagrange coefficients
@@ -322,18 +323,6 @@ def _decrypt_core(pp, st, key, node):
         return acc
 
     return core(node, ctx.scalar(1))
-
-
-def decrypt_node(pp, st, key, node=None):
-    """Evaluate the decryption tree at a node.
-
-    Returns e(g1, g2)^(r_enc * q_node(0)) when the key's attributes
-    satisfy the subtree rooted there, else None.  Leaves pair the leaf
-    components against the matching key components; interior nodes
-    Lagrange-combine a deterministic choice of k satisfying children.
-    """
-    core = _decrypt_core(pp, st, key, st.tree.root if node is None else node)
-    return None if core is None else pp.ctx.final_exp(core)
 
 
 def designcrypt(pp, st, ct_msg, key, verification_key, transcript=None):

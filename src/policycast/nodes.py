@@ -25,18 +25,32 @@ payload as hex: the body of GET /chain/block/N and of POST /push alike.
 
 Endpoints:  GET /chain/head, GET /chain/block/N (validator, edge),
 POST /records (validator), POST /push (device).
+
+GET /chain/head?after=N is a long-poll: it answers once the tip's index
+is past N, or after LONG_POLL_SECONDS with the head as it stands.  The
+edge follows the validator, and a pulling device follows the edge, by
+asking after the last index it holds; a loop sleeps poll_interval only
+after a tick that brought nothing new.
+
+Transport: http.client on the standard library, HTTP/1.1 kept alive.
+Each node owns its client connections, one per peer (Connections), and
+only its loop thread sends on them; both ends set TCP_NODELAY, and a
+reply goes out in one write.  stop() hangs up the node's own
+connections and the ones its server accepted, so parked long-polls end
+at once, and joins every thread it started.
 """
 
 import hashlib
+import http.client
 import json
 import re
+import socket
 import threading
 import time
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import urlparse
-
-import requests
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from types import SimpleNamespace
+from urllib.parse import parse_qs, urlsplit
 
 from . import absc, ledger
 from .groups import DecodeError, GroupContext, _SYSTEM_RNG
@@ -62,24 +76,131 @@ class ManualClock:
 # ---------------------------------------------------------------------------
 # HTTP plumbing
 
-def _with_retries(send, retries):
-    """Call send() up to `retries` times, backing off between attempts."""
-    for attempt in range(retries):
+# GET /chain/head?after=N waits at most this long for the tip to pass N.
+LONG_POLL_SECONDS = 1.0
+
+
+class Response:
+    """One finished exchange: status, body bytes, and the body sent."""
+
+    def __init__(self, status_code, content, sent):
+        self.status_code = status_code
+        self.content = content
+        self.request = SimpleNamespace(body=sent)
+
+    def json(self):
+        return json.loads(self.content)
+
+
+def _hang_up(sock):
+    """End a socket's traffic from any thread: a blocked recv returns."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except (AttributeError, OSError):
+        pass  # never connected, or already closed
+
+
+class Connections:
+    """Kept-alive client connections, one per peer (host:port).
+
+    One thread sends on them.  hang_up() may come from any other thread:
+    it makes the request in flight and every later one fail at once.
+    close() releases the sockets once the sending thread is done.
+    """
+
+    def __init__(self):
+        self._open = {}
+        self._lock = threading.Lock()
+        self.closed = False
+
+    def get(self, netloc, timeout):
+        """(connection, whether it served an earlier request)."""
+        with self._lock:
+            if self.closed:
+                raise ConnectionError("connections closed")
+            conn = self._open.get(netloc)
+        if conn is not None:
+            conn.sock.settimeout(timeout)
+            return conn, True
+        conn = http.client.HTTPConnection(netloc, timeout=timeout)
+        conn.connect()  # http.client sets TCP_NODELAY
+        with self._lock:
+            if not self.closed:
+                self._open[netloc] = conn
+                return conn, False
+        conn.close()
+        raise ConnectionError("connections closed")
+
+    def drop(self, netloc, conn):
+        with self._lock:
+            self._open.pop(netloc, None)
+        conn.close()
+
+    def hang_up(self):
+        with self._lock:
+            self.closed = True
+            conns = list(self._open.values())
+        for conn in conns:
+            _hang_up(conn.sock)
+
+    def close(self):
+        with self._lock:
+            self.closed = True
+            conns, self._open = list(self._open.values()), {}
+        for conn in conns:
+            conn.close()
+
+
+def _send(conns, method, url, sent, timeout):
+    """One attempt; a kept-alive connection the peer has closed is
+    replaced by a fresh one at once, before any back-off."""
+    parts = urlsplit(url)
+    target = parts.path + (f"?{parts.query}" if parts.query else "")
+    headers = {} if sent is None else {"Content-Type": "application/json"}
+    while True:
+        conn, reused = conns.get(parts.netloc, timeout)
+        resp = None
         try:
-            return send()
-        except requests.RequestException:
-            if attempt == retries - 1:
-                raise
-            time.sleep(0.1 * (2 ** attempt))
+            conn.request(method, target, sent, headers)
+            resp = conn.getresponse()
+            content = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conns.drop(parts.netloc, conn)
+            if reused and resp is None and not isinstance(exc, TimeoutError):
+                continue
+            raise ConnectionError(f"{method} {url}: {exc!r}") from exc
+        if resp.will_close:
+            conns.drop(parts.netloc, conn)
+        return Response(resp.status, content, sent)
 
 
-def http_get(url, timeout=5.0, retries=3):
-    return _with_retries(lambda: requests.get(url, timeout=timeout), retries)
+def _request(method, url, sent, timeout, retries, conns):
+    """Send up to `retries` times, backing off between attempts.
+
+    The connection stays in conns for the next request; without conns it
+    is closed on return.  Raises OSError once every attempt has failed.
+    """
+    own = conns is None
+    conns = Connections() if own else conns
+    try:
+        for attempt in range(retries):
+            try:
+                return _send(conns, method, url, sent, timeout)
+            except OSError:
+                if attempt == retries - 1 or conns.closed:
+                    raise
+                time.sleep(0.1 * (2 ** attempt))
+    finally:
+        if own:
+            conns.close()
 
 
-def http_post_json(url, obj, timeout=5.0, retries=3):
-    return _with_retries(
-        lambda: requests.post(url, json=obj, timeout=timeout), retries)
+def http_get(url, timeout=5.0, retries=3, conns=None):
+    return _request("GET", url, None, timeout, retries, conns)
+
+
+def http_post_json(url, obj, timeout=5.0, retries=3, conns=None):
+    return _request("POST", url, absc.canonical_json(obj), timeout, retries, conns)
 
 
 # A message's ciphertext is hex inside the payload, and the payload is hex
@@ -89,6 +210,9 @@ MAX_BODY = 64 << 20
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # an idle kept-alive connection's thread exits after this long;
+    # above LONG_POLL_SECONDS, so a client between two long-polls keeps it
+    timeout = 5.0
 
     def log_message(self, *args):
         pass
@@ -120,12 +244,14 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(status, payload)
 
     def _reply(self, status, payload):
+        # headers and body in one write: with two, Nagle and delayed ACK
+        # hold the body back on a kept-alive connection
         raw = absc.canonical_json(payload)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
+        head = (f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+                f"Content-Type: application/json\r\nContent-Length: {len(raw)}\r\n"
+                + ("Connection: close\r\n" if self.close_connection else "")
+                + "\r\n")
+        self.wfile.write(head.encode("latin-1") + raw)
 
     def do_GET(self):
         self._run("GET")
@@ -134,8 +260,51 @@ class _Handler(BaseHTTPRequestHandler):
         self._run("POST")
 
 
+class _Server(HTTPServer):
+    """One thread per accepted connection, each tracked until it ends."""
+
+    def __init__(self, address, node):
+        super().__init__(address, _Handler)
+        self.node = node
+        self._open = {}  # accepted socket -> its thread
+        self._lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        t = threading.Thread(target=self._serve, args=(request, client_address),
+                             daemon=True)
+        with self._lock:
+            self._open[request] = t
+        t.start()
+
+    def _serve(self, request, client_address):
+        try:
+            self.finish_request(request, client_address)
+        except OSError:
+            pass  # the peer hung up, or stop() did
+        except Exception:  # noqa: BLE001 - report it, keep serving
+            self.handle_error(request, client_address)
+        finally:
+            self.shutdown_request(request)
+            with self._lock:
+                del self._open[request]
+
+    def close_connections(self):
+        """Hang up every accepted connection and join its thread."""
+        with self._lock:
+            accepted = list(self._open.items())
+        for sock, _t in accepted:
+            _hang_up(sock)
+        for _sock, t in accepted:
+            t.join()
+
+
 class NodeService:
-    """Shared server/loop scaffolding for the online roles."""
+    """Shared server/loop scaffolding for the online roles.
+
+    tick() returns true when it made progress; the loop then runs it
+    again at once, and otherwise sleeps poll_interval first.
+    """
 
     poll_interval = 0.02
 
@@ -145,6 +314,8 @@ class NodeService:
         self._server = None
         self._threads = []
         self._stop = threading.Event()
+        self._conns = Connections()
+        self._changed = threading.Condition()  # the chain grew, or stop()
         self.host = None
         self.port = None
 
@@ -156,9 +327,7 @@ class NodeService:
     def start(self, host="127.0.0.1", port=0, serve=True, run_loop=True):
         self._stop.clear()
         if serve:
-            self._server = ThreadingHTTPServer((host, port), _Handler)
-            self._server.daemon_threads = True
-            self._server.node = self
+            self._server = _Server((host, port), self)
             self.host, self.port = self._server.server_address[:2]
             t = threading.Thread(target=self._server.serve_forever, daemon=True)
             t.start()
@@ -170,22 +339,38 @@ class NodeService:
         return self
 
     def _loop(self):
-        while not self._stop.wait(self.poll_interval):
+        progressed = False
+        while not (self._stop.is_set() if progressed
+                   else self._stop.wait(self.poll_interval)):
             try:
-                self.tick()
+                progressed = bool(self.tick())
             except Exception as exc:  # noqa: BLE001 - loops must survive
+                progressed = False
                 self.event("loop-error", error=str(exc))
 
+    def _announce(self):
+        with self._changed:
+            self._changed.notify_all()
+
     def stop(self):
-        """Stop serving and wait for the loop to finish its current tick."""
+        """Stop serving and the loop, and wait for every thread to end.
+
+        Requests parked in a long-poll, this node's own and those its
+        server holds, end at once.
+        """
         self._stop.set()
+        self._announce()
+        self._conns.hang_up()
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
+            self._server.close_connections()
             self._server = None
         for t in self._threads:
             t.join()
         self._threads = []
+        self._conns.close()
+        self._conns = Connections()
 
     @property
     def url(self):
@@ -199,18 +384,32 @@ _BLOCK_RE = re.compile(r"^/chain/block/(\d+)$")
 
 
 class _ChainReader:
-    """GET routes shared by validator and edge nodes."""
+    """GET routes shared by validator and edge nodes.
+
+    A long-poll waits on the node's _changed condition, which the node
+    notifies when its chain grows and when it stops.
+    """
 
     def _chain_routes(self, method, path):
         if method != "GET":
             return None
-        path = urlparse(path).path
-        if path == "/chain/head":
+        url = urlsplit(path)
+        if url.path == "/chain/head":
+            after = parse_qs(url.query).get("after")
+            if after is not None:
+                try:
+                    after = int(after[0])
+                except ValueError:
+                    return 400, {"error": "bad-after"}
+                with self._changed:
+                    self._changed.wait_for(
+                        lambda: len(self.chain) > after + 1 or self._stop.is_set(),
+                        LONG_POLL_SECONDS)
             tip = self.chain[-1]
             return 200, {"index": tip.header.index,
                          "hash": ledger.block_hash(tip).hex(),
                          "header": ledger.header_to_json(tip)}
-        m = _BLOCK_RE.match(path)
+        m = _BLOCK_RE.match(url.path)
         if m:
             idx = int(m.group(1))
             if idx >= len(self.chain):
@@ -240,7 +439,7 @@ class ValidatorNode(NodeService, _ChainReader):
         routed = self._chain_routes(method, path)
         if routed is not None:
             return routed
-        if method == "POST" and urlparse(path).path == "/records":
+        if method == "POST" and urlsplit(path).path == "/records":
             try:
                 record = ledger.record_from_json(self.ctx, body)
                 reason = ledger.validate_record(record, self.registry)
@@ -279,6 +478,8 @@ class ValidatorNode(NodeService, _ChainReader):
             ledger.save_chain(self.store_path, self.chain)
         elif self.store_path:
             ledger.save_block(self.store_path, block)
+        self._announce()
+        return True
 
 
 class EdgeNode(NodeService, _ChainReader):
@@ -310,37 +511,50 @@ class EdgeNode(NodeService, _ChainReader):
         return 404, {"error": "not-found"}
 
     def tick(self):
-        self.sync_once()
+        return self.sync_once()
 
     def sync_once(self):
+        """Wait for blocks past the local tip, append and push them.
+
+        Returns whether any block was appended.
+        """
+        synced = False
         try:
-            head = int(http_get(f"{self.upstream}/chain/head").json()["index"])
-        except (requests.RequestException, ValueError, KeyError, TypeError):
-            return
+            resp = http_get(f"{self.upstream}/chain/head?after={len(self.chain) - 1}",
+                            conns=self._conns)
+            head = int(resp.json()["index"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return synced
         while len(self.chain) <= head:
             idx = len(self.chain)
             try:
-                resp = http_get(f"{self.upstream}/chain/block/{idx}")
+                resp = http_get(f"{self.upstream}/chain/block/{idx}", conns=self._conns)
                 if resp.status_code != 200:
-                    return
+                    return synced
                 block = ledger.block_from_json(self.ctx, resp.json())
-            except (requests.RequestException, DecodeError, ValueError):
-                self.event("sync-error", index=idx)
-                return
+            except (OSError, DecodeError, ValueError):
+                if not self._stop.is_set():  # else stop() hung up mid-fetch
+                    self.event("sync-error", index=idx)
+                return synced
             reason = ledger.append_block(self.chain, block, self.vset, self.registry)
             if reason is not None:
                 # refuse the block and resync from the last verified index
                 self.event("sync-rejected", index=idx, reason=reason)
-                return
+                return synced
+            synced = True
             self.event("block-synced", index=idx)
+            self._announce()
             self._push(block)
+        return synced
 
     def _push(self, block):
         body = ledger.block_to_json(block)
         for url in self.push_targets:
             try:
-                http_post_json(f"{url}/push", body)
-            except requests.RequestException:
+                http_post_json(f"{url}/push", body, conns=self._conns)
+            except OSError:
+                if self._stop.is_set():
+                    return  # stop() hung up mid-push
                 self.event("push-failed", target=url, index=block.header.index)
 
 
@@ -366,30 +580,36 @@ class DeviceNode(NodeService):
         self._verkeys = {}
 
     def handle(self, method, path, body):
-        if method == "POST" and urlparse(path).path == "/push":
+        if method == "POST" and urlsplit(path).path == "/push":
             if not isinstance(body, dict) or not isinstance(body.get("record"), dict):
                 return 400, {"error": "bad-push"}
             return 200, {"status": self.ingest(body)}
         return 404, {"error": "not-found"}
 
     def tick(self):
+        """Pull the blocks past the last one seen; returns whether any came."""
         if not self.pull or not self.source:
-            return
+            return False
+        start = self._pull_next
         try:
-            head = int(http_get(f"{self.source}/chain/head").json()["index"])
-        except (requests.RequestException, ValueError, KeyError, TypeError):
-            return
+            resp = http_get(f"{self.source}/chain/head?after={start - 1}",
+                            conns=self._conns)
+            head = int(resp.json()["index"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return False
         while self._pull_next <= head:
             idx = self._pull_next
             try:
-                obj = http_get(f"{self.source}/chain/block/{idx}").json()
-            except (requests.RequestException, ValueError):
-                return
+                obj = http_get(f"{self.source}/chain/block/{idx}",
+                               conns=self._conns).json()
+            except (OSError, ValueError):
+                break
             if not isinstance(obj, dict):
                 self.event("integrity-alarm", index=idx, detail="bad-block")
             elif isinstance(obj.get("record"), dict):
                 self.ingest(obj)
             self._pull_next = idx + 1
+        return self._pull_next > start
 
     def ingest(self, block):
         """Process one block in the canonical block JSON (pushed or pulled).

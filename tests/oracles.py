@@ -9,7 +9,9 @@ factored final exponentiation), so agreement is meaningful evidence.
 tate_pairing is the exception: the engine's own loop, kept here as the
 reference for the stored-line and argument-swapped paths.  So is
 signcrypt_reference, which composes it with pt_mul: the textbook paths
-that signcrypt's window tables and cached e(h, g2) replace.
+that signcrypt's window tables and cached e(h, g2) replace, and
+decrypt_node, designcrypt's tree evaluation with its own final
+exponentiation.
 """
 
 from dataclasses import replace
@@ -199,6 +201,18 @@ def signcrypt_reference(pp, signing_key, msg, policy, rng):
     psi = pr.pt_add(pr.pt_mul(g2, zeta.value, q),
                     pr.pt_mul(signing_key.key_sign.point, pi.value, q), q)
     return replace(st, pi=pi, psi=GroupElement(ctx, ctx.key_group, psi)), ct_msg
+
+
+def decrypt_node(pp, st, key, node=None):
+    """Evaluate the decryption tree at a node.
+
+    Returns e(g1, g2)^(r_enc * q_node(0)) when the key's attributes
+    satisfy the subtree rooted there, else None.  Leaves pair the leaf
+    components against the matching key components; interior nodes
+    Lagrange-combine a deterministic choice of k satisfying children.
+    """
+    core = absc._decrypt_core(pp, st, key, st.tree.root if node is None else node)
+    return None if core is None else pp.ctx.final_exp(core)
 
 
 # ---------------------------------------------------------------------------

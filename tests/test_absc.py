@@ -174,7 +174,7 @@ def test_decrypt_node_single_leaf(scheme_asym):
     key = absc.keygen(pp, mk, ["alpha"], rng)
     transcript = {}
     st, _ = absc.signcrypt(pp, sk, b"m", "alpha", rng, transcript)
-    got = absc.decrypt_node(pp, st, key)
+    got = oracles.decrypt_node(pp, st, key)
     e_renc = enc_randomness_pairing(ctx, key, "alpha")
     assert got == e_renc ** transcript["s"]
 
@@ -189,10 +189,10 @@ def test_decrypt_node_interior_gate(scheme_asym):
     st, _ = absc.signcrypt(pp, sk, b"m", "(alpha, beta, gamma)@2", rng,
                            transcript)
     e_renc = enc_randomness_pairing(ctx, key, "alpha")
-    assert absc.decrypt_node(pp, st, key) == e_renc ** transcript["s"]
+    assert oracles.decrypt_node(pp, st, key) == e_renc ** transcript["s"]
     # a partial key fails the gate
     partial = absc.keygen(pp, mk, ["alpha"], rng)
-    assert absc.decrypt_node(pp, st, partial) is None
+    assert oracles.decrypt_node(pp, st, partial) is None
 
 
 def test_honest_transcripts_agree(scheme):
@@ -245,7 +245,7 @@ def test_designcrypt_matches_reduced_reference(scheme):
     delta = ctx.pair(st.c, st.psi) * denom.inverse()
     assert dec_t["t_s"] == t_s == enc_t["t_s"]
     assert dec_t["delta_prime"] == delta == enc_t["delta"]
-    assert absc.decrypt_node(pp, st, key) == value(st.tree.root)
+    assert oracles.decrypt_node(pp, st, key) == value(st.tree.root)
     # the fast path still rejects a tampered psi
     t = {}
     bad = dataclasses.replace(st, psi=st.psi * ctx.g2)

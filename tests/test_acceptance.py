@@ -98,7 +98,7 @@ def test_acceptance_decrypt_node_oracle(scheme_sym, scheme_asym):
             assert s_oracle == transcript["s"].value
             expected = enc_randomness_pairing(ctx, key) ** ctx.scalar(s_oracle)
             checked += 1
-            if absc.decrypt_node(pp, st, key) == expected:
+            if oracles.decrypt_node(pp, st, key) == expected:
                 exact += 1
     ok = checked == 50 and exact == 50
     record_acceptance("tree-evaluation-oracle", ok,

@@ -1,14 +1,15 @@
 """Role wiring: authority, validator, edge relay, and device behavior."""
 
 import hashlib
+import http.client
 import json
 import random
 import socket
 import threading
 import time
+from urllib.parse import urlparse
 
 import pytest
-import requests
 
 from policycast import absc, ledger, nodes, pairing
 from policycast.groups import DecodeError, GroupContext
@@ -198,7 +199,7 @@ class JunkSource(nodes.NodeService):
         self.head = head
 
     def handle(self, method, path, body):
-        if path == "/chain/head":
+        if urlparse(path).path == "/chain/head":
             return 200, self.head
         return 200, ["not", "a", "block"]
 
@@ -457,16 +458,199 @@ def test_validator_appends_each_sealed_block(authority, stack_factory, tmp_path,
 def test_http_retries_sleep_only_between_attempts(monkeypatch):
     attempts, sleeps = [], []
 
-    def refuse(url, **kwargs):
-        attempts.append(url)
-        raise requests.ConnectionError("refused")
+    def refuse(conn):
+        attempts.append(conn.host)
+        raise ConnectionRefusedError("refused")
 
-    monkeypatch.setattr(nodes.requests, "get", refuse)
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", refuse)
     monkeypatch.setattr(nodes.time, "sleep", sleeps.append)
-    with pytest.raises(requests.ConnectionError):
+    with pytest.raises(ConnectionRefusedError):
         http_get("http://127.0.0.1:9/chain/head", retries=3)
     assert len(attempts) == 3
     assert sleeps == [0.1, 0.2]
+
+
+# ---------------------------------------------------------------------------
+# transport: kept-alive connections, long-poll, stop()
+
+def count_accepts(monkeypatch):
+    """node name -> connections its server accepted, from now on."""
+    accepted = {}
+    real = nodes._Server.process_request
+
+    def counting(server, request, address):
+        accepted[server.node.name] = accepted.get(server.node.name, 0) + 1
+        return real(server, request, address)
+
+    monkeypatch.setattr(nodes._Server, "process_request", counting)
+    return accepted
+
+
+def test_requests_to_one_peer_share_one_connection(authority, stack_factory,
+                                                   monkeypatch):
+    ta, bundles = authority
+    accepted = count_accepts(monkeypatch)
+    stack = stack_factory(push=True)
+    for i in range(3):
+        stack.publish(ta, bundles, msg=b"block %d" % i, seed=60 + i)
+        stack.seal_next_slot()
+        assert stack.edge.sync_once()
+    assert [m for _, m in stack.devices["match"].accepted] == [
+        b"block 0", b"block 1", b"block 2"]
+    # the edge sent 6 requests to the validator and 3 pushes to each
+    # device; each publish_message opens a connection of its own
+    assert accepted == {"val-1": 3 + 1, "match": 1, "other": 1}
+
+
+def test_head_long_poll_waits_for_a_seal(authority, stack_factory):
+    ta, bundles = authority
+    stack = stack_factory()
+    url = f"{stack.validator.url}/chain/head?after=0"
+    t0 = time.monotonic()
+    assert http_get(url).json()["index"] == 0  # nothing sealed: the bound
+    waited = time.monotonic() - t0
+    assert nodes.LONG_POLL_SECONDS <= waited < nodes.LONG_POLL_SECONDS + 0.5
+    assert http_get(f"{stack.validator.url}/chain/head?after=x").status_code == 400
+
+    stack.publish(ta, bundles)
+    # a seal wakes the validator's waiters, a sync the edge's
+    for node, grow in ((stack.validator, stack.seal_next_slot),
+                       (stack.edge, stack.edge.sync_once)):
+        url = f"{node.url}/chain/head?after=0"
+        got = {}
+
+        def poll():
+            got["head"] = http_get(url).json()
+            got["at"] = time.monotonic()
+
+        poller = threading.Thread(target=poll)
+        poller.start()
+        time.sleep(0.3)
+        assert "head" not in got, node.name  # parked
+        grow()
+        grown = time.monotonic()
+        poller.join(5)
+        assert not poller.is_alive()
+        assert got["head"]["index"] == 1
+        assert got["at"] - grown < 0.1, node.name
+        t0 = time.monotonic()
+        assert http_get(url).json()["index"] == 1  # already past 0: no wait
+        assert time.monotonic() - t0 < 0.5
+
+
+def test_stop_ends_parked_long_polls_and_idle_connections(authority):
+    ta, bundles = authority
+    base = threading.active_count()
+    vset = ta.validator_set()
+    validator = ValidatorNode("val-1", ta.ctx, vset, ta.publishers,
+                              bundles["sp"]["pseudo_id"], clock=ManualClock(18))
+    validator.start(run_loop=False)
+    edge = EdgeNode("edge-1", ta.ctx, vset, ta.publishers, validator.url,
+                    clock=ManualClock(18)).start()
+    dev = bare_device(ta, bundles, source=edge.url, pull=True).start(serve=False)
+    idle = nodes.Connections()
+    for node in (validator, edge):
+        assert http_get(f"{node.url}/chain/head", conns=idle).status_code == 200
+    # each server holds a follower's parked long-poll and an idle connection
+    deadline = time.monotonic() + 5
+    while (len(validator._server._open), len(edge._server._open)) != (2, 2):
+        assert time.monotonic() < deadline, "the followers never parked"
+        time.sleep(0.01)
+    time.sleep(0.1)
+    # followers first, as deployments do; a server's shutdown may wait
+    # out serve_forever's 0.5 s poll, and the device serves nothing
+    for node, bound in ((dev, 0.25), (edge, 1.0), (validator, 1.0)):
+        t0 = time.monotonic()
+        node.stop()
+        assert time.monotonic() - t0 < bound, node.name
+    idle.close()
+    assert threading.active_count() == base
+    assert [e for n in (validator, edge, dev) for e in n.events] == []
+
+
+class GatedTarget(nodes.NodeService):
+    """A push target whose handler holds each push until released."""
+
+    def __init__(self):
+        super().__init__("gated")
+        self.entered, self.release = threading.Event(), threading.Event()
+
+    def handle(self, method, path, body):
+        self.entered.set()
+        self.release.wait(5)
+        return 200, {"status": "accepted"}
+
+
+def test_stop_mid_push_logs_no_failure(authority):
+    ta, bundles = authority
+    clock = ManualClock(0.0)
+    vset = ta.validator_set()
+    validator = ValidatorNode("val-1", ta.ctx, vset, ta.publishers,
+                              bundles["sp"]["pseudo_id"], clock=clock)
+    validator.start(run_loop=False)
+    target = GatedTarget().start(run_loop=False)
+    edge = EdgeNode("edge-1", ta.ctx, vset, ta.publishers, validator.url,
+                    push_targets=[(target.url, "payload")], clock=clock).start()
+    try:
+        publish_message(ta.pp, bundles["sp"], MESSAGE, POLICY, validator.url,
+                        random.Random(5))
+        clock.set(15 + 3)
+        validator.tick()
+        assert target.entered.wait(5)
+        edge.stop()  # hangs up the push parked in the target's handler
+    finally:
+        target.release.set()
+        for node in (edge, target, validator):
+            node.stop()
+    assert [e["event"] for e in edge.events] == ["block-synced"]
+
+
+def test_a_kept_alive_connection_the_server_closed_is_replaced_at_once(
+        authority, stack_factory, monkeypatch):
+    accepted = count_accepts(monkeypatch)
+    monkeypatch.setattr(nodes._Handler, "timeout", 0.05)
+    stack = stack_factory()
+    conns = nodes.Connections()
+    url = f"{stack.validator.url}/chain/head"
+    try:
+        assert http_get(url, conns=conns).status_code == 200
+        time.sleep(0.3)  # the server times the idle connection out
+        sleeps = []
+        monkeypatch.setattr(nodes.time, "sleep", sleeps.append)
+        assert http_get(url, conns=conns).status_code == 200
+        assert http_post_json(f"{stack.validator.url}/records", {"st": 1},
+                              conns=conns).status_code == 400
+    finally:
+        conns.close()
+    assert sleeps == []
+    assert accepted == {"val-1": 2}
+
+
+class CountingSource(JunkSource):
+    """A relay that answers every head at once and counts the requests."""
+
+    def __init__(self, head):
+        super().__init__(head)
+        self.heads = 0
+
+    def handle(self, method, path, body):
+        self.heads += urlparse(path).path == "/chain/head"
+        return super().handle(method, path, body)
+
+
+def test_a_follower_polls_an_instant_relay_once_per_interval(authority):
+    ta, bundles = authority
+    source = CountingSource({"index": 0}).start(run_loop=False)
+    dev = bare_device(ta, bundles, source=source.url, pull=True)
+    try:
+        dev.start(serve=False)
+        time.sleep(0.5)
+    finally:
+        dev.stop()
+        source.stop()
+    # nothing new on any answer: one head per 20 ms poll_interval at most
+    assert 5 <= source.heads <= 0.5 / dev.poll_interval + 2
+    assert dev.events == []
 
 
 # ---------------------------------------------------------------------------
