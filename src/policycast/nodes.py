@@ -29,21 +29,32 @@ POST /records (validator), POST /push (device).
 GET /chain/head?after=N is a long-poll: it answers once the tip's index
 is past N, or after LONG_POLL_SECONDS with the head as it stands.  The
 edge follows the validator, and a pulling device follows the edge, by
-asking after the last index it holds; a loop sleeps poll_interval only
-after a tick that brought nothing new.
+asking after the last index it holds.
+
+Loops wake on events, not on a timer.  Each node has one wake event: a
+validator's is set when a record is queued and when its ManualClock
+moves (ManualClock.watch), so a record in an open held slot is sealed
+at once; stop() sets every node's.  After a tick that brought nothing
+new, a loop waits on that event for at most poll_interval, so
+poll_interval is a cap: a real clock's slot boundary, or a relay that
+answers at once, is still looked at every poll_interval.  A push-mode
+device runs no loop at all; its server does its work.
 
 Transport: http.client on the standard library, HTTP/1.1 kept alive.
 Each node owns its client connections, one per peer (Connections), and
 only its loop thread sends on them; both ends set TCP_NODELAY, and a
 reply goes out in one write.  stop() hangs up the node's own
 connections and the ones its server accepted, so parked long-polls end
-at once, and joins every thread it started.
+at once, and joins every thread it started.  A server's accept loop
+selects on its listening socket and on a wake-up socket pair, so it
+ends the moment stop() asks.
 """
 
 import hashlib
 import http.client
 import json
 import re
+import selectors
 import socket
 import threading
 import time
@@ -51,6 +62,7 @@ from collections import deque
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from types import SimpleNamespace
 from urllib.parse import parse_qs, urlsplit
+from weakref import WeakSet
 
 from . import absc, ledger
 from .groups import DecodeError, GroupContext, _SYSTEM_RNG
@@ -58,19 +70,39 @@ from .policy import satisfies
 
 
 class ManualClock:
-    """Injectable clock for slot-level tests without wall-time waits."""
+    """Injectable clock for slot-level tests without wall-time waits.
+
+    watch(event) registers a threading.Event that advance() and set()
+    set after each move, so a loop waiting on it sees the new time at
+    once.  Events are held weakly: a clock shared by many nodes keeps
+    none of them alive.
+    """
 
     def __init__(self, start=0.0):
         self.now = float(start)
+        self._watchers = WeakSet()
+        self._lock = threading.Lock()
 
     def __call__(self):
         return self.now
 
+    def watch(self, event):
+        with self._lock:
+            self._watchers.add(event)
+
+    def _moved(self):
+        with self._lock:
+            watchers = list(self._watchers)
+        for event in watchers:
+            event.set()
+
     def advance(self, dt):
         self.now += dt
+        self._moved()
 
     def set(self, t):
         self.now = float(t)
+        self._moved()
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +293,28 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _Server(HTTPServer):
-    """One thread per accepted connection, each tracked until it ends."""
+    """Accepts on its own thread, serves each connection on one more,
+    and tracks those until they end.
+
+    The accept loop also selects on a socket pair, through which close()
+    ends it at once.
+    """
 
     def __init__(self, address, node):
         super().__init__(address, _Handler)
         self.node = node
         self._open = {}  # accepted socket -> its thread
         self._lock = threading.Lock()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._thread.start()
+
+    def _accept_loop(self):
+        with selectors.DefaultSelector() as sel:
+            sel.register(self, selectors.EVENT_READ)
+            sel.register(self._wake_r, selectors.EVENT_READ)
+            while not any(key.fileobj is self._wake_r for key, _ in sel.select()):
+                self._handle_request_noblock()
 
     def process_request(self, request, client_address):
         request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -289,8 +336,14 @@ class _Server(HTTPServer):
             with self._lock:
                 del self._open[request]
 
-    def close_connections(self):
-        """Hang up every accepted connection and join its thread."""
+    def close(self):
+        """Stop accepting, close the listening socket, hang up every
+        accepted connection and join every thread."""
+        self._wake_w.send(b"\0")
+        self._thread.join()
+        self.server_close()
+        self._wake_r.close()
+        self._wake_w.close()
         with self._lock:
             accepted = list(self._open.items())
         for sock, _t in accepted:
@@ -303,7 +356,8 @@ class NodeService:
     """Shared server/loop scaffolding for the online roles.
 
     tick() returns true when it made progress; the loop then runs it
-    again at once, and otherwise sleeps poll_interval first.
+    again at once, and otherwise waits first: until _wake is set, for at
+    most poll_interval.
     """
 
     poll_interval = 0.02
@@ -314,6 +368,7 @@ class NodeService:
         self._server = None
         self._threads = []
         self._stop = threading.Event()
+        self._wake = threading.Event()  # work may be waiting, or stop()
         self._conns = Connections()
         self._changed = threading.Condition()  # the chain grew, or stop()
         self.host = None
@@ -324,15 +379,16 @@ class NodeService:
         entry.update(details)
         self.events.append(entry)
 
+    def _runs_loop(self):
+        return hasattr(self, "tick")
+
     def start(self, host="127.0.0.1", port=0, serve=True, run_loop=True):
         self._stop.clear()
+        self._wake.clear()
         if serve:
             self._server = _Server((host, port), self)
             self.host, self.port = self._server.server_address[:2]
-            t = threading.Thread(target=self._server.serve_forever, daemon=True)
-            t.start()
-            self._threads.append(t)
-        if run_loop and hasattr(self, "tick"):
+        if run_loop and self._runs_loop():
             t = threading.Thread(target=self._loop, daemon=True)
             t.start()
             self._threads.append(t)
@@ -340,8 +396,12 @@ class NodeService:
 
     def _loop(self):
         progressed = False
-        while not (self._stop.is_set() if progressed
-                   else self._stop.wait(self.poll_interval)):
+        while True:
+            if not progressed:
+                self._wake.wait(self.poll_interval)
+            if self._stop.is_set():
+                return
+            self._wake.clear()
             try:
                 progressed = bool(self.tick())
             except Exception as exc:  # noqa: BLE001 - loops must survive
@@ -359,12 +419,11 @@ class NodeService:
         server holds, end at once.
         """
         self._stop.set()
+        self._wake.set()
         self._announce()
         self._conns.hang_up()
         if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server.close_connections()
+            self._server.close()
             self._server = None
         for t in self._threads:
             t.join()
@@ -434,6 +493,8 @@ class ValidatorNode(NodeService, _ChainReader):
         self.pending = deque()
         self._last_slot = ledger.slot_of(0, vset.slot_seconds)
         self._lock = threading.Lock()
+        if hasattr(clock, "watch"):
+            clock.watch(self._wake)  # a new slot may be ours to seal
 
     def handle(self, method, path, body):
         routed = self._chain_routes(method, path)
@@ -451,6 +512,7 @@ class ValidatorNode(NodeService, _ChainReader):
             with self._lock:
                 self.pending.append(record)
             self.event("record-queued", pseudo_id=record.pseudo_id)
+            self._wake.set()
             return 200, {"status": "accepted"}
         return 404, {"error": "not-found"}
 
@@ -585,6 +647,9 @@ class DeviceNode(NodeService):
                 return 400, {"error": "bad-push"}
             return 200, {"status": self.ingest(body)}
         return 404, {"error": "not-found"}
+
+    def _runs_loop(self):
+        return self.pull  # a pushed device's server does all its work
 
     def tick(self):
         """Pull the blocks past the last one seen; returns whether any came."""

@@ -375,6 +375,27 @@ def test_wrong_verification_key_rejects(scheme_asym):
     assert absc.designcrypt(pp, st, ct, key, vk2) is None
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="keygen gives away g2^(r_enc); open, ROADMAP item 8")
+def test_one_unrelated_attribute_cannot_unmask_through_g2_r_enc(scheme):
+    # any one pair (d_j, d'_j) yields d_j * d'_j^(-H2(j)) = g2^(r_enc), and
+    # e(C, d_enc) / e(w, g2^(r_enc)) = t^s strips the content-key mask
+    pp, mk = scheme
+    ctx = pp.ctx
+    rng = random.Random(113)
+    sk, vk = absc.signing_keygen(pp, mk, rng)
+    key = absc.keygen(pp, mk, ["camera"], rng)
+    msg = b"for hvac units on floor 3"
+    st, ct = absc.signcrypt(pp, sk, msg, "hvac and floor3", rng)
+    assert absc.designcrypt(pp, st, ct, key, vk) is None  # the policy bars it
+    d_j, d_j_prime = key.comps["camera"]
+    g2_r_enc = d_j * d_j_prime ** -attr_hash(ctx, "camera")
+    t_s = ctx.pair(st.c, key.d_enc) * ctx.pair(st.w, g2_r_enc).inverse()
+    mask = ctx.hash_to_bits(t_s.to_bytes())
+    key_sym = bytes(a ^ b for a, b in zip(st.c_tilde, mask))
+    assert absc.sym_decrypt(key_sym, ct) != msg
+
+
 def test_large_payload_wide_policy(scheme_sym):
     pp, mk = scheme_sym
     rng = random.Random(109)

@@ -3,6 +3,7 @@
 import hashlib
 import http.client
 import json
+import queue
 import random
 import socket
 import threading
@@ -101,6 +102,15 @@ def test_manual_clock():
     assert clk() == 15.0
     clk.set(3)
     assert clk() == 3.0
+    moved = threading.Event()
+    clk.watch(moved)
+    clk.advance(1)
+    assert moved.is_set()
+    moved.clear()
+    clk.set(0)
+    assert moved.is_set()
+    del moved  # held weakly: a clock keeps no dead node's event
+    assert not list(clk._watchers)
 
 
 def test_payload_push_pipeline(authority, stack_factory, tmp_path):
@@ -557,8 +567,7 @@ def test_stop_ends_parked_long_polls_and_idle_connections(authority):
         assert time.monotonic() < deadline, "the followers never parked"
         time.sleep(0.01)
     time.sleep(0.1)
-    # followers first, as deployments do; a server's shutdown may wait
-    # out serve_forever's 0.5 s poll, and the device serves nothing
+    # followers first, as deployments do
     for node, bound in ((dev, 0.25), (edge, 1.0), (validator, 1.0)):
         t0 = time.monotonic()
         node.stop()
@@ -651,6 +660,153 @@ def test_a_follower_polls_an_instant_relay_once_per_interval(authority):
     # nothing new on any answer: one head per 20 ms poll_interval at most
     assert 5 <= source.heads <= 0.5 / dev.poll_interval + 2
     assert dev.events == []
+
+
+# ---------------------------------------------------------------------------
+# event-driven loops: wake events, no loop on a push device, prompt stop()
+
+def started_validator(ta, bundles, clock):
+    return ValidatorNode("val-1", ta.ctx, ta.validator_set(), ta.publishers,
+                         bundles["sp"]["pseudo_id"], clock=clock).start()
+
+
+def stamp_events(node, *kinds):
+    """kind -> a queue of the perf_counter times node logs it, from now on."""
+    stamps = {kind: queue.Queue() for kind in kinds}
+    log = node.event
+
+    def event(kind, **details):
+        log(kind, **details)
+        if kind in stamps:
+            stamps[kind].put(time.perf_counter())
+
+    node.event = event
+    return stamps
+
+
+def count_ticks(node):
+    """One entry per later tick: whether stop() had been asked by then."""
+    ticks = []
+    real = node.tick
+
+    def tick():
+        ticks.append(node._stop.is_set())
+        return real()
+
+    node.tick = tick
+    return ticks
+
+
+def prompt(delays):
+    """At least 9 of 10 seals within 5 ms: one may meet a busy host.
+
+    A loop polling every 20 ms spreads each delay over 0-20 ms, so it
+    passes with odds of about 3 in 100,000.
+    """
+    return len(delays) == 10 and sum(d < 0.005 for d in delays) >= 9
+
+
+def test_a_clock_advance_wakes_the_validator(authority):
+    ta, bundles = authority
+    clock = ManualClock(0.0)
+    validator = started_validator(ta, bundles, clock)
+    sealed = stamp_events(validator, "block-appended")["block-appended"]
+    delays = []
+    try:
+        for i in range(10):
+            publish_message(ta.pp, bundles["sp"], b"round %d" % i, POLICY,
+                            validator.url, random.Random(80 + i))
+            t0 = time.perf_counter()
+            clock.advance(15)  # the next slot opens, and it is ours
+            delays.append(sealed.get(timeout=5) - t0)
+    finally:
+        validator.stop()
+    assert len(validator.chain) == 11
+    assert prompt(delays), delays
+
+
+def test_a_record_in_an_open_slot_is_sealed_at_once(authority):
+    # time.time cannot signal; the record's arrival wakes the loop
+    ta, bundles = authority
+    body = ledger.record_to_json(record_for(bundles, *signcrypted_parts(ta, bundles)))
+    delays = []
+    for _ in range(10):
+        validator = started_validator(ta, bundles, time.time)
+        stamps = stamp_events(validator, "record-queued", "block-appended")
+        try:
+            time.sleep(0.05)  # the loop has seen the slot: ours, held open
+            resp = http_post_json(f"{validator.url}/records", body)
+            assert resp.json() == {"status": "accepted"}
+            sealed = stamps["block-appended"].get(timeout=5)
+            delays.append(sealed - stamps["record-queued"].get(timeout=5))
+        finally:
+            validator.stop()
+    assert prompt(delays), delays
+
+
+def test_a_push_device_runs_no_loop_and_accepts_a_push(authority, delivery):
+    ta, bundles = authority
+    header, publisher, payload = delivery
+    block = {k: v for k, v in header.items() if k != "payload_digest"}
+    block["record"] = {"pseudo_id": publisher, "payload": payload.hex(),
+                       "payload_digest": header["payload_digest"]}
+    base = threading.active_count()
+    dev = bare_device(ta, bundles).start()
+    try:
+        assert threading.active_count() == base + 1  # its accept loop alone
+        resp = http_post_json(f"{dev.url}/push", block)
+    finally:
+        dev.stop()
+    assert resp.json() == {"status": "accepted"}
+    assert dev.accepted == [(1, MESSAGE)]
+    assert threading.active_count() == base
+
+
+def test_an_idle_validator_ticks_at_most_once_per_interval(authority):
+    ta, bundles = authority
+    clock = ManualClock(18)
+    validator = started_validator(ta, bundles, clock)
+    ticks = count_ticks(validator)
+    try:
+        clock.advance(15)  # one wake-up, then nothing happens
+        time.sleep(0.5)
+    finally:
+        validator.stop()
+    # poll_interval still caps each wait, as a real clock's slot boundary
+    # needs; a wake event left set would tick without pause
+    assert 5 <= len(ticks) <= 0.5 / validator.poll_interval + 2
+
+
+def test_a_stopped_loop_never_ticks_again(authority):
+    ta, bundles = authority
+    clock = ManualClock(18)
+    validator = started_validator(ta, bundles, clock)
+    ticks = count_ticks(validator)
+    time.sleep(0.1)
+    validator.stop()
+    stopped = len(ticks)
+    clock.advance(15)
+    time.sleep(0.1)
+    assert stopped and len(ticks) == stopped
+    assert not any(ticks)  # no tick began once stop() was asked
+
+
+def test_idle_nodes_stop_at_once(authority):
+    # stop() wakes a server's accept loop: no wait for a select timeout
+    ta, bundles = authority
+    clock = ManualClock(18)
+    validator = started_validator(ta, bundles, clock)
+    dev = bare_device(ta, bundles, clock=clock).start()
+    edge = EdgeNode("edge-1", ta.ctx, ta.validator_set(), ta.publishers,
+                    validator.url, push_targets=[(dev.url, "payload")],
+                    clock=clock).start()
+    for node in (validator, edge):
+        node.poll_interval = 10  # stop() must wake a loop, not wait it out
+    time.sleep(0.1)  # the edge's long-poll is parked on the validator
+    for node in (dev, edge, validator):
+        t0 = time.monotonic()
+        node.stop()
+        assert time.monotonic() - t0 < 0.1, node.name
 
 
 # ---------------------------------------------------------------------------
