@@ -43,9 +43,12 @@ from the decoded fields, so B signs their canonical form; the shape
 step that relays and devices share refuses payload bytes in any other
 form, so one signed payload has one digest.  Because of B, st_from_json
 decodes C, w and the leaf points, which pairings only evaluate at,
-without a subgroup check (GroupContext.deserialize_evaluation_point);
-psi, which e(C, psi) walks, is decoded strictly.  Payloads signed
-without B do not verify.
+without a subgroup check (GroupContext.deserialize_evaluation_point).
+psi is decoded the same way, in the key group: e(C, psi) walks it, and
+the walk raises unless p*psi = O (pairing.tate_miller), which
+designcrypt turns into a failure.  So a device decodes every point with
+one on-curve check and no pt_mul.  Payloads signed without B do not
+verify.
 
 All hash-derived scalars are SHA-256 digests reduced mod p; the mask on
 the content key is the raw 32-byte digest.  Failure is a value: every
@@ -109,14 +112,15 @@ class PublicParams:
     def publisher_keys(self, key_sign_hex, key_ver_hex):
         """(SigningKey, VerificationKey) from a publisher's key hex.
 
-        Strict-decoded on first use; the last decoded pair is kept, with
+        Strict-decoded on first use (DecodeError on anything but canonical
+        hex of two key-group points); the last decoded pair is kept, with
         the window table the signing key builds, until another pair comes.
         """
         pair = (key_sign_hex, key_ver_hex)
         if self._publisher is None or self._publisher[0] != pair:
             decode = self.ctx.deserialize_element
-            keys = (SigningKey(decode(bytes.fromhex(key_sign_hex), "s2")),
-                    VerificationKey(decode(bytes.fromhex(key_ver_hex), "s2")))
+            keys = (SigningKey(decode(hex_bytes(key_sign_hex), "s2")),
+                    VerificationKey(decode(hex_bytes(key_ver_hex), "s2")))
             object.__setattr__(self, "_publisher", (pair, keys))
         return self._publisher[1]
 
@@ -346,8 +350,14 @@ def designcrypt(pp, st, ct_msg, key, verification_key, transcript=None):
         if transcript is not None:
             transcript["reason"] = "decrypt-failed"
         return None
+    try:
+        c_psi = ctx.miller((st.c, st.psi))  # walks psi: its subgroup check
+    except ValueError:
+        if transcript is not None:
+            transcript["reason"] = "psi-not-in-subgroup"
+        return None
     denom = (ctx.miller((st.w, verification_key.key_ver)) * t_core) ** st.pi
-    delta_prime = ctx.final_exp(ctx.miller((st.c, st.psi)) * denom.inverse())
+    delta_prime = ctx.final_exp(c_psi * denom.inverse())
     if transcript is not None:
         transcript["delta_prime"] = delta_prime
     if _pi(ctx, msg, delta_prime, st, ct_msg) != st.pi:
@@ -398,7 +408,7 @@ def _st_shape(ctx, obj):
     leaves, no curve math.  The point fields keep their encoded bytes."""
     try:
         tree = parse_policy(obj["policy"])
-        width = 1 + ctx.params.fq_bytes
+        width = 1 + 2 * ctx.params.fq_bytes
         c_tilde = hex_bytes(obj["c_tilde"], KEY_BYTES)
         c = hex_bytes(obj["c"], width)
         w = hex_bytes(obj["w"], width)
@@ -433,14 +443,12 @@ def st_from_json(ctx, obj):
 
 
 def _decode_points(ctx, st):
-    """The curve step after _st_shape.
-
-    psi is decoded strictly; C, w and the leaf points, which are signed
-    into pi and only evaluated at, are checked on the curve only.
+    """The curve step after _st_shape: every point is checked on the curve
+    only.  C, w and the leaf points are signed into pi and only evaluated
+    at; designcrypt's walk of psi checks its subgroup.
     """
     pt = ctx.deserialize_evaluation_point
-    return replace(st, c=pt(st.c), w=pt(st.w),
-                   psi=ctx.deserialize_element(st.psi, "s2"),
+    return replace(st, c=pt(st.c), w=pt(st.w), psi=pt(st.psi, "s2"),
                    leaf_c={idx: (pt(a), pt(b)) for idx, (a, b) in st.leaf_c.items()})
 
 

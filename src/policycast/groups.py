@@ -31,19 +31,26 @@ goes through pairing.pt_mul.
 
 Serialized form (all big-endian, fixed width per profile):
 
-    s1:  0x02/0x03 (y parity) || x
-    s2:  0x0a/0x0b (y parity) || x of the distortion preimage
+    s1:  0x02 || x || y
+    s2:  0x0a || x || y        of the distortion preimage
     gt:  0x04 || a || b        for a + b*i in F_q2
 
+Points travel uncompressed, so decoding one takes an on-curve check
+(y^2 = x^3 + x) and no square root.  Point files written with the
+earlier compressed form (0x02/0x03 or 0x0a/0x0b by the parity of y,
+then x) fail the length check.
+
 Decoding has two paths.  deserialize_element is strict: wrong tag for
-the requested group, off-curve x, out-of-range coordinates, wrong
-length, or an element outside the order-p subgroup are all rejected.
-deserialize_evaluation_point, for s1 points that a pairing only
-evaluates lines at, runs the same checks but the subgroup one (a pt_mul
-by p, nearly all of a strict decode's cost) and rejects y = 0; it is
-sound only where the bytes are signed, as absc does for every
-ciphertext point but psi (see the pairing module docstring).  Identity
-elements never occur in honest protocol data and are not serializable.
+the requested group, out-of-range coordinates, an off-curve point,
+wrong length, or an element outside the order-p subgroup are all
+rejected.  deserialize_evaluation_point runs the same checks but the
+subgroup one (a pt_mul by p, nearly all of a strict decode's cost) and
+rejects y = 0.  It is sound only where the subgroup question is settled
+another way: absc signs every ciphertext point but psi into pi, which
+pairings only evaluate at (see the pairing module docstring), and psi,
+which e(C, psi) walks, is refused by that walk unless p*psi = O
+(pairing.tate_miller).  Identity elements never occur in honest
+protocol data and are not serializable.
 """
 
 import hashlib
@@ -72,7 +79,7 @@ class GroupMismatchError(TypeError):
 
 _SYSTEM_RNG = random.SystemRandom()
 
-_TAGS = {"s1": (0x02, 0x03), "s2": (0x0A, 0x0B)}
+_TAGS = {"s1": 0x02, "s2": 0x0A}
 _GT_TAG = 0x04
 _FQ2_GROUPS = ("gt", "miller")
 
@@ -280,7 +287,8 @@ class GroupContext:
         gives ratios.  Every pair walks b and only evaluates at a, so
         only b needs to be in the order-p subgroup: pairs whose b is
         fixed (GroupElement.fixed) share one loop over the b's stored
-        lines, and any other pair runs tate_miller over b.
+        lines, and any other pair runs tate_miller over b, which raises
+        ValueError unless b has order p.
         """
         q = self.params.q
         f = _pr.FQ2_ONE
@@ -344,9 +352,8 @@ class GroupContext:
         if el.group == "gt":
             a, b = el.point
             return bytes([_GT_TAG]) + a.to_bytes(w, "big") + b.to_bytes(w, "big")
-        even, odd = _TAGS[el.group]
         x, y = el.point
-        return bytes([odd if y & 1 else even]) + x.to_bytes(w, "big")
+        return bytes([_TAGS[el.group]]) + x.to_bytes(w, "big") + y.to_bytes(w, "big")
 
     def deserialize_element(self, data, group):
         """Strict decode of one element of the requested group."""
@@ -374,37 +381,39 @@ class GroupContext:
             raise DecodeError("point outside the order-p subgroup")
         return GroupElement(self, group, pt)
 
-    def deserialize_evaluation_point(self, data):
-        """Decode of an s1 point that pairings only evaluate lines at.
+    def deserialize_evaluation_point(self, data, group="s1"):
+        """Decode of a point whose subgroup check falls to its pairing.
 
         deserialize_element's checks but the subgroup one (tag, length,
-        range, x on the curve), plus y != 0.  The reduced pairing cannot
-        see a cofactor-order shift of such a point (pairing module
-        docstring), so the caller must bind the bytes another way: absc
-        signs them into pi.
+        range, on the curve), plus y != 0.  The reduced pairing cannot
+        see a cofactor-order shift of a point it only evaluates at
+        (pairing module docstring), so the caller must bind those bytes
+        another way: absc signs them into pi.  A point that a pairing
+        walks, as e(C, psi) walks psi, is refused by tate_miller unless
+        it has order p.
         """
         if not isinstance(data, (bytes, bytearray)):
             raise DecodeError("expected bytes")
-        pt = self._curve_point(data, "s1")
+        if group == "s2" and self.symmetric:
+            group = "s1"
+        pt = self._curve_point(data, group)
         if pt[1] == 0:
             raise DecodeError("point of order two")
-        return GroupElement(self, "s1", pt)
+        return GroupElement(self, group, pt)
 
     def _curve_point(self, data, group):
-        """Tag, length, range and on-curve checks of a point encoding."""
+        """Length, tag, range and on-curve checks of a point encoding."""
         w = self.params.fq_bytes
         q = self.params.q
-        if len(data) != 1 + w:
+        if len(data) != 1 + 2 * w:
             raise DecodeError("bad element length")
-        even, odd = _TAGS[group]
-        if data[0] not in (even, odd):
+        if data[0] != _TAGS[group]:
             raise DecodeError(f"tag {data[0]:#04x} is not a {group} encoding")
-        x = int.from_bytes(data[1:], "big")
-        if x >= q:
+        pt = int.from_bytes(data[1:1 + w], "big"), int.from_bytes(data[1 + w:], "big")
+        if pt[0] >= q or pt[1] >= q:
             raise DecodeError("coordinate out of range")
-        pt = _pr.pt_decompress(x, data[0] == odd, q, self.params.sqrt_exp)
-        if pt is None:
-            raise DecodeError("x is not on the curve")
+        if not _pr.pt_is_on_curve(pt, q):
+            raise DecodeError("point is not on the curve")
         return pt
 
     def _own(self, el):

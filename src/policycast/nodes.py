@@ -699,7 +699,7 @@ class DeviceNode(NodeService):
             if hexkey is None:
                 return None
             self._verkeys[publisher] = absc.VerificationKey(
-                self.ctx.deserialize_element(bytes.fromhex(hexkey), "s2"))
+                self.ctx.deserialize_element(absc.hex_bytes(hexkey), "s2"))
         return self._verkeys[publisher]
 
     def receive(self, header, publisher, payload):

@@ -56,7 +56,17 @@ doublings.  pt_mul, the double-and-add for any other base, and the
 tables share one Jacobian-plus-affine mixed addition, _jac_add_affine.
 
 Walked and evaluated points.  Only the walked point must have order r:
-the loop relies on rP = O to end in the vertical chord.  The reduced
+the loop relies on rP = O to end in the vertical chord, and tate_miller
+checks that it does, so a walked point needs no subgroup check of its
+own.  Its Jacobian doubling is exact whenever Y != 0 and its chord
+whenever H != 0 (T != +-P); a degenerate step (Y = 0, or H = 0 for
+T = P or T = -P) sets Z to 0, and Z = 0 stays 0 through every later
+doubling (2*Y*Z) and chord (Z*H).  So Z != 0 before the last addition
+step means every step was exact and T = (r - 1)P there, and a vertical
+chord at that step (H = 0, R != 0) means T = -P, hence rP = O.  Any
+other end, an earlier vertical chord included, raises ValueError.  A
+point of order r walks with no degenerate step, because kP != O,
++-P for 1 < k < r - 1 and no point of odd order has y = 0.  The reduced
 pairing depends on the evaluation point Q only modulo rE, because the
 Tate pairing is trivial on rE in its second argument.  q + 1 = c*r with
 r coprime to c, so any Q' of E(F_q) is Q + h with Q of order r and h of
@@ -71,6 +81,10 @@ way (absc signs them).  Evaluation points must also have y != 0: the
 only such point, (0, 0), has order two, every line's i-part vanishes at
 it, and with y != 0 no line value is zero, so tate_final_exp's
 inversion is always defined.
+
+Points travel as (x, y) (groups.GroupContext.serialize_element), so a
+decode is one on-curve check, pt_is_on_curve, and no square root;
+pt_decompress is kept for tests that draw random curve points.
 """
 
 
@@ -78,7 +92,7 @@ class CurveParams:
     """Pinned constants for one curve profile, and its generators' tables."""
 
     __slots__ = ("name", "q", "r", "c", "g1", "g2pre", "symmetric",
-                 "fq_bytes", "r_bytes", "sqrt_exp", "r_tail", "tables")
+                 "fq_bytes", "r_bytes", "r_tail", "tables")
 
     def __init__(self, name, q, r, c, g1, g2pre, symmetric):
         self.name = name
@@ -90,7 +104,6 @@ class CurveParams:
         self.symmetric = symmetric
         self.fq_bytes = (q.bit_length() + 7) // 8
         self.r_bytes = (r.bit_length() + 7) // 8
-        self.sqrt_exp = (q + 1) // 4  # sqrt(a) = a^((q+1)/4) when q = 3 mod 4
         self.r_tail = bin(r)[3:]  # bits of r after the leading one
         self.tables = {}  # generator -> its fixed_base_table, filled on first use
 
@@ -323,12 +336,12 @@ def pt_mul_fixed(table, k, q):
     return _jac_to_affine(X, Y, Z, q)
 
 
-def pt_decompress(x, y_is_odd, q, sqrt_exp):
+def pt_decompress(x, y_is_odd, q):
     """Recover (x, y) from x and the parity of y; None if x is not on the curve."""
     if not 0 <= x < q:
         return None
     rhs = (x * x * x + x) % q
-    y = pow(rhs, sqrt_exp, q)
+    y = pow(rhs, (q + 1) // 4, q)  # a square root, as q = 3 mod 4
     if y * y % q != rhs:
         return None
     if y == 0:
@@ -342,18 +355,22 @@ def pt_decompress(x, y_is_odd, q, sqrt_exp):
 # Tate pairing
 
 def tate_miller(P, Q, params):
-    """Miller loop for the reduced Tate pairing of order-r points.
+    """Miller loop for the reduced Tate pairing, walking P.
 
     P and Q are affine points of E(F_q); the lines are evaluated at
     phi(Q) = (-xq, i*yq).  Result is the unreduced f in F_q2; feed it to
     tate_final_exp.  Subfield line factors are dropped (k = 2 is even).
+    Raises ValueError unless rP = O, shown by the walk itself (module
+    docstring, "Walked and evaluated points"); Q may be any point with
+    y != 0.
     """
     q = params.q
     xp, yp = P
     xq, yq = Q
     fa, fb = 1, 0
     X, Y, Z = xp, yp, 1
-    for bit in params.r_tail:
+    last = len(params.r_tail) - 1
+    for k, bit in enumerate(params.r_tail):
         # --- doubling step with tangent line at T evaluated at phi(Q)
         Zsq = Z * Z % q
         B = Y * Y % q
@@ -362,7 +379,7 @@ def tate_miller(P, Q, params):
         D = 2 * ((X + B) * (X + B) - A - Cc) % q
         E = (3 * A + Zsq * Zsq) % q
         X2 = (E * E - 2 * D) % q
-        Z2 = 2 * Y * Z % q
+        Z2 = 2 * Y * Z % q  # 0 once Y = 0 (T of order two) or Z = 0
         Y2 = (E * (D - X2) - 8 * Cc) % q
         # line: E*(X + xq*Zsq) - 2B  +  i * Z2*Zsq*yq
         lr = (E * (X + xq * Zsq) - 2 * B) % q
@@ -382,16 +399,13 @@ def tate_miller(P, Q, params):
             S2 = yp * Z % q * Zsq % q
             H = (U2 - X) % q
             R = (S2 - Y) % q
-            if H == 0 and R != 0:
-                # vertical chord: T = -P, line is F_q-rational, drop it.
-                # For k = r this happens only on the last iteration.
-                X, Y, Z = 0, 1, 0
-                break
+            if k == last:
+                break  # r is odd: the walk ends on this chord
             H2 = H * H % q
             H3 = H * H2 % q
             X2 = (R * R - H3 - 2 * X * H2) % q
             Y2 = (R * (X * H2 - X2) - Y * H3) % q
-            Z2 = Z * H % q
+            Z2 = Z * H % q  # 0 once T = +-P or Z = 0
             # line: Z2*yp - R*(xq + xp)  +  i * (-Z2*yq)
             lr = (Z2 * yp - R * (xq + xp)) % q
             li = -(Z2 * yq) % q
@@ -399,6 +413,10 @@ def tate_miller(P, Q, params):
             m2 = fb * li
             fa, fb = (m1 - m2) % q, ((fa + fb) * (lr + li) - m1 - m2) % q
             X, Y, Z = X2, Y2, Z2
+    # an undisturbed walk (Z != 0) ends on the vertical chord at T = -P,
+    # whose line is F_q-rational and dropped
+    if Z == 0 or H != 0 or R == 0:
+        raise ValueError("walked point is not of order r")
     return fa, fb
 
 

@@ -269,38 +269,6 @@ def policy_to_text(tree):
 
 
 # ---------------------------------------------------------------------------
-# nested JSON form
-
-def tree_to_json(tree):
-    nodes = tree.nodes
-
-    def build(idx):
-        node = nodes[idx]
-        if node.is_leaf:
-            return {"kind": "leaf", "attribute": node.attribute}
-        return {"kind": "gate", "k": node.threshold,
-                "children": [build(c) for c in node.children]}
-
-    return build(tree.root)
-
-
-def tree_from_json(obj):
-    def to_nested(o):
-        if not isinstance(o, dict) or "kind" not in o:
-            raise ValueError("bad tree node")
-        if o["kind"] == "leaf":
-            return {"attr": normalize_attribute(o["attribute"])}
-        if o["kind"] == "gate":
-            kids = o["children"]
-            if not isinstance(kids, list) or not kids:
-                raise ValueError("gate needs children")
-            return {"k": o["k"], "children": [to_nested(c) for c in kids]}
-        raise ValueError(f"unknown node kind {o['kind']!r}")
-
-    return _flatten(to_nested(obj))
-
-
-# ---------------------------------------------------------------------------
 # secret sharing and satisfaction
 
 def _poly_eval(coeffs, x, p):

@@ -11,7 +11,10 @@ reference for the stored-line and argument-swapped paths.  So is
 signcrypt_reference, which composes it with pt_mul: the textbook paths
 that signcrypt's window tables and cached e(h, g2) replace, and
 decrypt_node, designcrypt's tree evaluation with its own final
-exponentiation.
+exponentiation.  tate_miller_unchecked is the engine's Miller loop as it
+was before the loop learned to check its walked point, and
+tree_to_json / tree_from_json a nested JSON form of access trees that
+the tests round-trip.
 """
 
 from dataclasses import replace
@@ -19,7 +22,8 @@ from dataclasses import replace
 from policycast import absc
 from policycast import pairing as pr
 from policycast.groups import GroupElement
-from policycast.policy import parse_policy, share_secret
+from policycast.policy import (_flatten, normalize_attribute, parse_policy,
+                               share_secret)
 
 FQ2_ONE = (1, 0)
 
@@ -153,6 +157,60 @@ def tate_pairing(P, Q, params):
     return pr.tate_final_exp(pr.tate_miller(P, Q, params), params)
 
 
+def tate_miller_unchecked(P, Q, params):
+    """pairing.tate_miller without its check that rP = O.
+
+    The loop stops at the first vertical chord it meets, wherever that
+    is, and returns the value reached so far; for P of order r that is
+    the last step, and the value is tate_miller's.
+    """
+    q = params.q
+    xp, yp = P
+    xq, yq = Q
+    fa, fb = 1, 0
+    X, Y, Z = xp, yp, 1
+    for bit in params.r_tail:
+        Zsq = Z * Z % q
+        B = Y * Y % q
+        A = X * X % q
+        Cc = B * B % q
+        D = 2 * ((X + B) * (X + B) - A - Cc) % q
+        E = (3 * A + Zsq * Zsq) % q
+        X2 = (E * E - 2 * D) % q
+        Z2 = 2 * Y * Z % q
+        Y2 = (E * (D - X2) - 8 * Cc) % q
+        lr = (E * (X + xq * Zsq) - 2 * B) % q
+        li = Z2 * Zsq % q * yq % q
+        t = (fa + fb) * (fa - fb) % q
+        fb = 2 * fa * fb % q
+        fa = t
+        m1 = fa * lr
+        m2 = fb * li
+        fa, fb = (m1 - m2) % q, ((fa + fb) * (lr + li) - m1 - m2) % q
+        X, Y, Z = X2, Y2, Z2
+        if bit == "1":
+            Zsq = Z * Z % q
+            U2 = xp * Zsq % q
+            S2 = yp * Z % q * Zsq % q
+            H = (U2 - X) % q
+            R = (S2 - Y) % q
+            if H == 0 and R != 0:
+                X, Y, Z = 0, 1, 0
+                break
+            H2 = H * H % q
+            H3 = H * H2 % q
+            X2 = (R * R - H3 - 2 * X * H2) % q
+            Y2 = (R * (X * H2 - X2) - Y * H3) % q
+            Z2 = Z * H % q
+            lr = (Z2 * yp - R * (xq + xp)) % q
+            li = -(Z2 * yq) % q
+            m1 = fa * lr
+            m2 = fb * li
+            fa, fb = (m1 - m2) % q, ((fa + fb) * (lr + li) - m1 - m2) % q
+            X, Y, Z = X2, Y2, Z2
+    return fa, fb
+
+
 def cofactor_point(params, rng):
     """A random point of E(F_q) of order > 1 dividing the cofactor.
 
@@ -161,8 +219,7 @@ def cofactor_point(params, rng):
     """
     q = params.q
     while True:
-        pt = pr.pt_decompress(rng.randrange(q), rng.random() < 0.5, q,
-                              params.sqrt_exp)
+        pt = pr.pt_decompress(rng.randrange(q), rng.random() < 0.5, q)
         h = pt and pr.pt_mul(pt, params.r, q)
         if h is not None:
             return h
@@ -213,6 +270,38 @@ def decrypt_node(pp, st, key, node=None):
     """
     core = absc._decrypt_core(pp, st, key, st.tree.root if node is None else node)
     return None if core is None else pp.ctx.final_exp(core)
+
+
+# ---------------------------------------------------------------------------
+# nested JSON form of access trees
+
+def tree_to_json(tree):
+    nodes = tree.nodes
+
+    def build(idx):
+        node = nodes[idx]
+        if node.is_leaf:
+            return {"kind": "leaf", "attribute": node.attribute}
+        return {"kind": "gate", "k": node.threshold,
+                "children": [build(c) for c in node.children]}
+
+    return build(tree.root)
+
+
+def tree_from_json(obj):
+    def to_nested(o):
+        if not isinstance(o, dict) or "kind" not in o:
+            raise ValueError("bad tree node")
+        if o["kind"] == "leaf":
+            return {"attr": normalize_attribute(o["attribute"])}
+        if o["kind"] == "gate":
+            kids = o["children"]
+            if not isinstance(kids, list) or not kids:
+                raise ValueError("gate needs children")
+            return {"k": o["k"], "children": [to_nested(c) for c in kids]}
+        raise ValueError(f"unknown node kind {o['kind']!r}")
+
+    return _flatten(to_nested(obj))
 
 
 # ---------------------------------------------------------------------------

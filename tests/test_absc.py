@@ -336,8 +336,20 @@ def test_public_params_keep_the_last_publisher_keys(scheme_asym, monkeypatch):
     assert second[0].key_sign.to_bytes().hex() == pairs[1][0]
     assert pp.publisher_keys(*pairs[1]) is second and len(decodes) == 4
     with pytest.raises(DecodeError):
-        pp.publisher_keys("02" + "00" * pp.ctx.params.fq_bytes, pairs[0][1])
+        pp.publisher_keys("0a" + "00" * 2 * pp.ctx.params.fq_bytes, pairs[0][1])
     assert pp.publisher_keys(*pairs[1]) is second  # a bad key is not kept
+
+
+def test_publisher_key_hex_is_decoded_canonically(scheme_asym):
+    pp, mk = scheme_asym
+    pp = absc.PublicParams(pp.ctx, pp.h, pp.t)
+    sk, vk = absc.signing_keygen(pp, mk, random.Random(141))
+    sign_hex, ver_hex = sk.key_sign.to_bytes().hex(), vk.key_ver.to_bytes().hex()
+    for bad in (("zz", "zz"), (sign_hex.upper(), ver_hex), (sign_hex, ver_hex.upper()),
+                (sign_hex + "0", ver_hex), (sign_hex, None)):
+        with pytest.raises(DecodeError):
+            pp.publisher_keys(*bad)
+    assert pp.publisher_keys(sign_hex, ver_hex)[1].key_ver == vk.key_ver
 
 
 def test_designcrypt_failure_reasons(scheme_asym):
@@ -600,13 +612,35 @@ def test_cofactor_shifted_points_fail_verification(signed_payload):
         assert_verify_fails(pp, key, vk, bad, ct_obj)
 
 
+def test_cofactor_shifted_psi_fails_designcrypt(signed_payload):
+    # psi decodes on the curve only; e(C, psi) walks it, and the walk
+    # refuses a psi outside the subgroup before any verification
+    pp, key, vk, st_obj, ct_obj, _ = signed_payload
+    ctx = pp.ctx
+    rng = random.Random(163)
+    psi = ctx.deserialize_element(bytes.fromhex(st_obj["psi"]), "s2")
+    moved = pairing.pt_add(psi.point, oracles.cofactor_point(ctx.params, rng),
+                           ctx.params.q)
+    bad = dict(st_obj, psi=GroupElement(ctx, psi.group, moved).to_bytes().hex())
+    st = absc.st_from_json(ctx, bad)
+    assert st.psi.point == moved
+    transcript = {}
+    assert absc.designcrypt(pp, st, absc.ct_from_json(ct_obj), key, vk,
+                            transcript) is None
+    assert transcript["reason"] == "psi-not-in-subgroup"
+    assert device_receive(pp, key, vk, bad, ct_obj) == ("alarm", ["designcrypt-failed"])
+
+
 def test_order_two_point_alarms_at_decode(signed_payload):
     pp, key, vk, st_obj, ct_obj, _ = signed_payload
-    zero = "02" + "00" * pp.ctx.params.fq_bytes  # (0, 0)
+    zero = "02" + "00" * 2 * pp.ctx.params.fq_bytes  # (0, 0)
     with pytest.raises(DecodeError, match="order two"):
         absc.st_from_json(pp.ctx, dict(st_obj, c=zero))
     outcome, alarms = device_receive(pp, key, vk, dict(st_obj, c=zero), ct_obj)
     assert outcome == "alarm" and alarms == ["decode: point of order two"]
+    psi_zero = st_obj["psi"][:2] + zero[2:]  # (0, 0) under the key-group tag
+    with pytest.raises(DecodeError, match="order two"):
+        absc.st_from_json(pp.ctx, dict(st_obj, psi=psi_zero))
 
 
 def test_tamper_smoke(scheme_asym):

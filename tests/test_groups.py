@@ -17,7 +17,9 @@ PINS = {
     "SYMMETRIC_512": {
         "g1": "025885b6063364b203d5d1600b75f18ce5ec35b7032369e98bd54ade60fcabda"
               "ffb5dace311ce1ce5af9d7a3e8f407a333b48664e1f192cba6180139d8609e50"
-              "13",
+              "13626875d7f182c5952f23635eef3f48b49c300e14bbd786ad8732e768379911"
+              "288611a6fcf55b863e9e91c58b9ef5a79dfc482bfd7bcb8e3c5094bcbd47dee2"
+              "58",
         "g2": None,  # same group
         "t0": "047700183393eb9f33a1419ac68f85c2782fda3c0c511a0ab222fc26f83f4043"
               "f79ad2fc9790c853e2372574916cd876a2e0e899f98260e6e60bf1c2ec12b308"
@@ -26,8 +28,10 @@ PINS = {
               "38",
     },
     "ASYMMETRIC_159": {
-        "g1": "0215fb97024654d52fd39b41cbbb056c2efc1a0180",
-        "g2": "0a1be0e6c230532f6ca1f73e921a7128d1b5222ef0",
+        "g1": "0215fb97024654d52fd39b41cbbb056c2efc1a0180"
+              "243a3b21bc0ee95c7ae5bbbb1ad6bb4a36e67c36",
+        "g2": "0a1be0e6c230532f6ca1f73e921a7128d1b5222ef0"
+              "3fcd4903e0e03560af496a9683731b2e12439a3e",
         "t0": "0401bf4e5f5412123a47aaa05a04c8e15ae1d9c72935b2a8b925ad88e1490d09"
               "e65e92babebc015bce",
     },
@@ -291,7 +295,7 @@ def test_decode_rejects_malformed(ctx):
     with pytest.raises(ConfigurationError):
         ctx.deserialize_element(good, "g9")
     # x out of range
-    big = bytes([good[0]]) + ctx.params.q.to_bytes(w, "big")
+    big = good[:1] + ctx.params.q.to_bytes(w, "big") + good[1 + w:]
     with pytest.raises(DecodeError):
         ctx.deserialize_element(big, "s1")
 
@@ -303,7 +307,7 @@ def test_decode_rejects_off_curve_x(ctx):
     for x in range(2, 200):
         rhs = (x * x * x + x) % q
         if pow(rhs, (q - 1) // 2, q) != 1:  # no square root -> not on curve
-            data = bytes([0x02]) + x.to_bytes(w, "big")
+            data = bytes([0x02]) + x.to_bytes(w, "big") + (1).to_bytes(w, "big")
             with pytest.raises(DecodeError):
                 ctx.deserialize_element(data, "s1")
             found += 1
@@ -334,6 +338,75 @@ def test_evaluation_point_ignores_a_cofactor_shift(ctx):
         assert got.point == want
 
 
+def test_miller_walk_matches_the_unchecked_loop(ctx):
+    # for a walked point of order r the checked loop computes what the
+    # loop without the check did, at subgroup and shifted evaluation points
+    ps = ctx.params
+    rng = random.Random(59)
+    base2 = ps.g2pre or ps.g1
+    for _ in range(3):
+        K = pr.pt_mul(base2, rng.randrange(1, ps.r), ps.q)
+        Q = pr.pt_mul(ps.g1, rng.randrange(1, ps.r), ps.q)
+        shifted = pr.pt_add(Q, oracles.cofactor_point(ps, rng), ps.q)
+        for pt in (Q, shifted):
+            assert pr.tate_miller(K, pt, ps) == oracles.tate_miller_unchecked(K, pt, ps)
+
+
+def test_miller_walk_refuses_points_outside_the_subgroup(ctx):
+    # the walk raises exactly when rP != O: for cofactor-order points,
+    # alone and added to a subgroup point, and for (0, 0), whose first
+    # doubling has Y = 0, so Z is 0 from there to the end
+    ps = ctx.params
+    rng = random.Random(61)
+    base2 = ps.g2pre or ps.g1
+    S = pr.pt_mul(base2, rng.randrange(1, ps.r), ps.q)
+    Q = pr.pt_mul(ps.g1, rng.randrange(1, ps.r), ps.q)
+    walked = [S, (0, 0)]
+    for _ in range(6):
+        h = oracles.cofactor_point(ps, rng)
+        walked += [h, pr.pt_add(S, h, ps.q)]
+    refused = 0
+    for P in walked:
+        if pr.pt_mul(P, ps.r, ps.q) is None:
+            assert pr.tate_miller(P, Q, ps) == oracles.tate_miller_unchecked(P, Q, ps)
+        else:
+            with pytest.raises(ValueError, match="not of order r"):
+                pr.tate_miller(P, Q, ps)
+            refused += 1
+    assert refused == len(walked) - 1
+    # and through the group layer: a plain key-side element is walked
+    shifted = GroupElement(ctx, ctx.key_group, walked[-1])
+    with pytest.raises(ValueError):
+        ctx.pair(ctx.g1, shifted)
+
+
+def test_miller_walk_refuses_an_early_vertical_chord():
+    # no small-order point of the pinned curves meets a vertical chord
+    # before the last step, so the loop runs under a stand-in r over the
+    # SYMMETRIC_512 curve: walked along the bits of 11, a point P of
+    # order 5 meets T = 4P = -P at the middle step; along those of 5, at
+    # the last one; along those of 7, its last chord is at T = 6P = P
+    ps = pr.SYM512
+    rng = random.Random(67)
+    P = None
+    while P is None:
+        x = rng.randrange(ps.q)
+        pt = pr.pt_decompress(x, False, ps.q)
+        P = pt and pr.pt_mul(pt, (ps.q + 1) // 5, ps.q)
+    assert pr.pt_mul(P, 5, ps.q) is None
+
+    def stand_in(r):
+        return pr.CurveParams(f"r={r}", ps.q, r, None, ps.g1, None, True)
+
+    Q = ps.g1
+    assert pr.tate_miller(P, Q, stand_in(5)) == oracles.tate_miller_unchecked(
+        P, Q, stand_in(5))
+    oracles.tate_miller_unchecked(P, Q, stand_in(11))  # stops early, silently
+    for r in (7, 11):
+        with pytest.raises(ValueError, match="not of order r"):
+            pr.tate_miller(P, Q, stand_in(r))
+
+
 def test_evaluation_point_decode(ctx):
     ps = ctx.params
     w = ps.fq_bytes
@@ -349,14 +422,52 @@ def test_evaluation_point_decode(ctx):
     assert ctx.deserialize_evaluation_point(shifted).to_bytes() == shifted
     # (0, 0): order two, and no line value may vanish
     with pytest.raises(DecodeError, match="order two"):
-        ctx.deserialize_evaluation_point(b"\x02" + bytes(w))
+        ctx.deserialize_evaluation_point(b"\x02" + bytes(2 * w))
     off_x = next(x for x in range(1, 1000)
-                 if pr.pt_decompress(x, False, ps.q, ps.sqrt_exp) is None)
+                 if pr.pt_decompress(x, False, ps.q) is None)
     for bad in (b"\x0a" + good[1:], good[:-1], good + b"\x00",
-                good[:1] + ps.q.to_bytes(w, "big"),
-                good[:1] + off_x.to_bytes(w, "big"), good.hex()):
+                good[:1] + ps.q.to_bytes(w, "big") + good[1 + w:],
+                good[:1] + off_x.to_bytes(w, "big") + good[1 + w:], good.hex()):
         with pytest.raises(DecodeError):
             ctx.deserialize_evaluation_point(bad)
+
+
+@pytest.mark.parametrize("group", ["s1", "s2"])
+def test_point_encoding_is_tag_x_y(ctx, group):
+    # one tag per group, then x and y: a decode is an on-curve check
+    ps = ctx.params
+    w = ps.fq_bytes
+    base = ctx.g1 if group == "s1" else ctx.g2
+    el = base ** ctx.random_scalar(random.Random(53))
+    data = el.to_bytes()
+    x, y = el.point
+    tag = data[:1]
+    assert data == tag + x.to_bytes(w, "big") + y.to_bytes(w, "big")
+    for decode in (ctx.deserialize_element, ctx.deserialize_evaluation_point):
+        assert decode(data, group) == el
+        cases = {
+            "bad element length": (data[:-1], data + b"\x00", data[:1 + w]),
+            # gt's tag, a parity tag, the other source group's tag
+            "is not a": (b"\x04" + data[1:], b"\x03" + data[1:],
+                         bytes([0x0A if tag == b"\x02" else 0x02]) + data[1:]),
+            "out of range": (tag + ps.q.to_bytes(w, "big") + data[1 + w:],
+                             tag + data[1:1 + w] + ps.q.to_bytes(w, "big")),
+            "not on the curve": (tag + data[1:1 + w] + ((y + 1) % ps.q).to_bytes(w, "big"),
+                                 tag + data[1 + w:] + data[1:1 + w]),
+        }
+        for message, encodings in cases.items():
+            for bad in encodings:
+                with pytest.raises(DecodeError, match=message):
+                    decode(bad, group)
+    # (0, 0), the one point of order two, is refused by both paths
+    zero = tag + bytes(2 * w)
+    with pytest.raises(DecodeError, match="order two"):
+        ctx.deserialize_evaluation_point(zero, group)
+    with pytest.raises(DecodeError, match="subgroup"):
+        ctx.deserialize_element(zero, group)
+    # the compressed form that older files hold no longer loads
+    with pytest.raises(DecodeError, match="length"):
+        ctx.deserialize_element(bytes([data[0] | (y & 1)]) + data[1:1 + w], group)
 
 
 def test_decode_rejects_out_of_subgroup_point(ctx):
@@ -364,10 +475,11 @@ def test_decode_rejects_out_of_subgroup_point(ctx):
     # exceeds 1, which holds for both profiles
     ps = ctx.params
     for x in range(2, 3000):
-        pt = pr.pt_decompress(x, False, ps.q, ps.sqrt_exp)
+        pt = pr.pt_decompress(x, False, ps.q)
         if pt is None or pr.pt_mul(pt, ps.r, ps.q) is None:
             continue
-        data = bytes([0x03 if pt[1] & 1 else 0x02]) + x.to_bytes(ps.fq_bytes, "big")
+        data = bytes([0x02]) + x.to_bytes(ps.fq_bytes, "big") + pt[1].to_bytes(
+            ps.fq_bytes, "big")
         with pytest.raises(DecodeError):
             ctx.deserialize_element(data, "s1")
         return

@@ -12,8 +12,9 @@ from urllib.parse import urlparse
 
 import pytest
 
+import oracles
 from policycast import absc, ledger, nodes, pairing
-from policycast.groups import DecodeError, GroupContext
+from policycast.groups import DecodeError, GroupContext, GroupElement
 from policycast.nodes import (DeviceNode, EdgeNode, ManualClock,
                               TrustedAuthority, ValidatorNode, http_get,
                               http_post_json, publish_message)
@@ -313,16 +314,43 @@ def record_over(bundles, payload):
 
 
 def off_curve(ctx, point_hex):
-    """An encoding with the same tag and width whose x is not on the curve."""
+    """An encoding with the same tag, width and x whose (x, y) is not on the curve."""
     data = bytes.fromhex(point_hex)
-    for x in range(1, 1000):
-        bent = data[:1] + x.to_bytes(len(data) - 1, "big")
+    w = ctx.params.fq_bytes
+    for y in range(1, 1000):
+        bent = data[:1 + w] + y.to_bytes(w, "big")
         try:
             ctx.deserialize_element(bent, "s1")
         except DecodeError as exc:
             if "not on the curve" in str(exc):
                 return bent.hex()
-    raise AssertionError("no off-curve x below 1000")
+    raise AssertionError("no off-curve y below 1000")
+
+
+def test_cofactor_shifted_psi_passes_relays_and_fails_designcrypt(authority,
+                                                                  stack_factory):
+    # psi decodes on the curve only, so the device that the policy
+    # excludes ignores the payload, and the walk of e(C, psi) refuses it
+    # on the device that decrypts
+    ta, bundles = authority
+    stack = stack_factory(push=True)
+    st_obj, ct_obj = signcrypted_parts(ta, bundles)
+    psi = ta.ctx.deserialize_element(bytes.fromhex(st_obj["psi"]), "s2")
+    h = oracles.cofactor_point(ta.ctx.params, random.Random(37))
+    moved = pairing.pt_add(psi.point, h, ta.ctx.params.q)
+    st_obj["psi"] = GroupElement(ta.ctx, "s2", moved).to_bytes().hex()
+    record = record_for(bundles, st_obj, ct_obj)
+    resp = http_post_json(f"{stack.validator.url}/records",
+                          ledger.record_to_json(record))
+    assert resp.json() == {"status": "accepted"}
+    assert stack.seal_next_slot().record == record
+    stack.edge.sync_once()
+    assert len(stack.edge.chain) == 2
+    outcomes = {label: [(e["event"], e.get("detail")) for e in dev.events
+                        if e["event"] in ("integrity-alarm", "ignored", "accepted")]
+                for label, dev in stack.devices.items()}
+    assert outcomes == {"match": [("integrity-alarm", "designcrypt-failed")],
+                        "other": [("ignored", None)]}
 
 
 def test_validator_rejects_bad_records(authority, stack_factory):
@@ -901,23 +929,41 @@ def test_device_builds_key_lines_on_its_first_message(authority, delivery,
     assert builds == []
 
 
-def test_device_subgroup_checks_only_psi(authority, delivery, monkeypatch):
-    # every other point is signed into pi and only evaluated at, so one
-    # receive does one pt_mul by p: psi's subgroup check
+def test_warm_device_receive_does_no_pt_mul_and_no_strict_decode(
+        authority, delivery, monkeypatch):
+    # every point but psi is signed into pi and only evaluated at, and
+    # e(C, psi)'s walk checks psi, so a receive with the publisher's
+    # key_ver decoded runs no pt_mul and no strict decode
     ta, bundles = authority
     header, publisher, payload = delivery
     dev = bare_device(ta, bundles)
     assert dev.receive(header, publisher, payload) == "accepted"  # key_ver decoded
-    scalars = []
-    real = pairing.pt_mul
+    calls = []
+    real_mul, real_decode = pairing.pt_mul, GroupContext.deserialize_element
 
-    def counting(P, k, q):
-        scalars.append(k)
-        return real(P, k, q)
+    def mul(P, k, q):
+        calls.append("pt_mul")
+        return real_mul(P, k, q)
 
-    monkeypatch.setattr(pairing, "pt_mul", counting)
+    def decode(self, data, group):
+        calls.append("deserialize_element")
+        return real_decode(self, data, group)
+
+    monkeypatch.setattr(pairing, "pt_mul", mul)
+    monkeypatch.setattr(GroupContext, "deserialize_element", decode)
     assert dev.receive(dict(header, index=2), publisher, payload) == "accepted"
-    assert scalars == [ta.ctx.p]
+    assert calls == []
+
+
+def test_device_registry_key_hex_is_decoded_canonically(authority, delivery):
+    # the TA's registry holds lowercase hex; any other form is refused
+    ta, bundles = authority
+    header, publisher, payload = delivery
+    for bad in (ta.publishers[publisher].upper(), "zz"):
+        dev = bare_device(ta, bundles, registry={publisher: bad})
+        with pytest.raises(DecodeError):
+            dev.receive(header, publisher, payload)
+        assert dev.accepted == []
 
 
 def test_device_builds_no_window_table(authority, delivery, monkeypatch):

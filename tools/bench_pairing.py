@@ -12,6 +12,7 @@ Ops, on each curve profile:
     table_build       the window table of one fixed point
     decode_s1         strict decode of one s1 point
     decode_eval       evaluation-point decode of one s1 point (on-curve only)
+    payload_decode    payload_from_bytes of an AND-of-n payload, points included
     signcrypt_warm    signcrypt, AND of n attributes, signing key reused
     designcrypt_warm  designcrypt, AND of n attributes, key reused
     designcrypt_cold  the same with a fresh copy of the key each call
@@ -107,6 +108,9 @@ def bench_profile(profile):
             if absc.designcrypt(pp, st, ct, *keys) is None:
                 raise RuntimeError(f"designcrypt failed on {profile}, n={n}")
 
+        data = absc.payload_bytes(st, ct)
+        rows.append(_row(profile, "payload_decode", n, _time(
+            lambda _: absc.payload_from_bytes(ctx, data), REPEATS)))
         rows.append(_row(profile, "signcrypt_warm", n, _time(
             lambda _: absc.signcrypt(pp, sk, b"x" * 1024, " and ".join(attrs), rng),
             REPEATS)))
