@@ -19,7 +19,11 @@ bundle, `ta init` writes the shareable public bundle next to the
 authority state.  Configuration files are JSON.
 
 The edge pushes each new block, as the canonical block JSON, to every
---push device; a device run with --pull polls its --source instead.
+--push device; a device run with --pull long-polls its --source instead.
+
+A node writes its output as it happens and keeps none of it: an --events
+line as it logs the event, an --accept-dir file (block{N}.bin) as the
+device accepts the block.  SIGTERM or SIGINT stops a node.
 """
 
 import argparse
@@ -28,7 +32,7 @@ import os
 import random
 import signal
 import sys
-import time
+import threading
 
 from . import absc, bench, nodes, scenario
 from .groups import CurveProfile
@@ -59,27 +63,48 @@ def _public_context(public_path):
     return pub, pp, vset
 
 
-def _serve_forever(node, events_path=None, accept_dir=None):
-    stop = []
-    signal.signal(signal.SIGTERM, lambda *a: stop.append(1))
-    signal.signal(signal.SIGINT, lambda *a: stop.append(1))
-    written = 0
-    saved = 0
+class _Sink:
+    """Stands in for NodeService.events or DeviceNode.accepted: append()
+    puts the item on disk, under a lock, before it returns, and keeps
+    nothing.  With no path it discards."""
+
+    def __init__(self, path, write):
+        self.path, self._write, self._lock = path, write, threading.Lock()
+
+    def append(self, item):
+        if self.path:
+            with self._lock:
+                self._write(self.path, item)
+
+
+def _write_event(path, entry):
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+
+
+def _write_accepted(dirpath, item):
+    index, msg = item  # appended before the device logs "accepted"
+    with open(os.path.join(dirpath, f"block{index}.bin"), "wb") as fh:
+        fh.write(msg)
+
+
+def _serve(node, listen, label, events_path=None):
+    """Serve node until SIGTERM or SIGINT, then stop it.
+
+    The signals are blocked before the node starts its threads, which
+    inherit the mask, so they stay pending until sigwait takes them here.
+    """
+    signals = {signal.SIGTERM, signal.SIGINT}
+    signal.pthread_sigmask(signal.SIG_BLOCK, signals)
+    node.events = _Sink(events_path, _write_event)
+    host, port = _split_listen(listen)
+    node.start(host, port)
+    print(f"{label} listening on {node.url}", flush=True)
     try:
-        while not stop:
-            time.sleep(0.2)
-            if events_path and len(node.events) > written:
-                with open(events_path, "a", encoding="utf-8") as fh:
-                    for evt in node.events[written:]:
-                        fh.write(json.dumps(evt, sort_keys=True) + "\n")
-                written = len(node.events)
-            if accept_dir:
-                for idx, msg in node.accepted[saved:]:
-                    with open(os.path.join(accept_dir, f"block{idx}.bin"), "wb") as fh:
-                        fh.write(msg)
-                saved = len(node.accepted)
+        signal.sigwait(signals)
     finally:
         node.stop()
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -137,41 +162,31 @@ def cmd_sp_publish(args):
 def cmd_sp_run(args):
     pub, pp, vset = _public_context(args.public)
     bundle = _load_json(args.bundle)
-    host, port = _split_listen(args.listen)
     node = nodes.ValidatorNode("validator", pp.ctx, vset, pub["publishers"],
                                bundle["pseudo_id"], store_path=args.store)
-    node.start(host, port)
-    print(f"validator {bundle['pseudo_id']} listening on {node.url}", flush=True)
-    _serve_forever(node)
-    return 0
+    return _serve(node, args.listen, f"validator {bundle['pseudo_id']}")
 
 
 def cmd_ed_run(args):
     pub, pp, vset = _public_context(args.public)
-    host, port = _split_listen(args.listen)
     targets = [(u, "payload") for u in (args.push or [])]
     node = nodes.EdgeNode("edge", pp.ctx, vset, pub["publishers"],
                           args.validator, push_targets=targets)
-    node.start(host, port)
-    print(f"edge relay listening on {node.url}", flush=True)
-    _serve_forever(node)
-    return 0
+    return _serve(node, args.listen, "edge relay")
 
 
 def cmd_sd_run(args):
     pub, pp, vset = _public_context(args.public)
     bundle = _load_json(args.bundle)
     key = absc.attribute_key_from_json(pp.ctx, bundle["attribute_key"])
-    host, port = _split_listen(args.listen)
     node = nodes.DeviceNode(bundle["pseudo_id"], pp, key, pub["publishers"],
                             vset.slot_seconds, source=args.source,
                             freshness_slots=args.freshness, pull=args.pull)
-    node.start(host, port)
-    print(f"device {bundle['pseudo_id']} listening on {node.url}", flush=True)
     if args.accept_dir:
         os.makedirs(args.accept_dir, exist_ok=True)
-    _serve_forever(node, events_path=args.events, accept_dir=args.accept_dir)
-    return 0
+    node.accepted = _Sink(args.accept_dir, _write_accepted)
+    return _serve(node, args.listen, f"device {bundle['pseudo_id']}",
+                  events_path=args.events)
 
 
 def cmd_bench(args):

@@ -19,9 +19,7 @@ Persistence is JSON lines in the canonical block form the wire also
 uses (payload as hex), one block per line, each line carrying the
 block's own hash so that mutations of the newest block are detectable
 without a successor; save_block appends a line to a save_chain file.
-Verification returns the index of the first bad block; a checkpoint
-starts a fresh chain whose genesis embeds the old tip hash in its
-prev_hash field.
+Verification returns the index of the first bad block.
 """
 
 import hashlib
@@ -121,12 +119,6 @@ def genesis():
     return Block(BlockHeader(0, ZERO32, ZERO_ID, 0)).sealed()
 
 
-def checkpoint_genesis(old_tip):
-    """Genesis of a successor chain, anchored to the old tip."""
-    return Block(BlockHeader(0, block_hash(old_tip), ZERO_ID,
-                             old_tip.header.timestamp)).sealed()
-
-
 def slot_of(timestamp, slot_seconds):
     return int(timestamp) // slot_seconds
 
@@ -198,12 +190,9 @@ def append_block(chain, block, vset, registry):
     return reason
 
 
-def verify_chain(chain, vset, registry, expected_genesis=None):
+def verify_chain(chain, vset, registry):
     """Full re-verification; returns None or (first bad index, reason)."""
-    if not chain:
-        return 0, REJECT_BAD_GENESIS
-    expected = expected_genesis or genesis()
-    if chain[0] != expected:
+    if not chain or chain[0] != genesis():
         return 0, REJECT_BAD_GENESIS
     for i in range(1, len(chain)):
         reason = _check_block(chain[i - 1], chain[i], vset, registry)

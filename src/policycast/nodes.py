@@ -13,9 +13,9 @@ exactly the devices whose attributes satisfy its policy:
     new block to its push targets.
   * DeviceNode: ingests blocks in the canonical block JSON, pushed by the
     edge or pulled from it; enforces the freshness window, checks the
-    payload digest against the header, decodes the payload (psi strictly,
-    the signed evaluation points on-curve only; no other role decodes
-    curve points), and designcrypts.  Non-satisfying
+    payload digest against the header, decodes the payload (every point
+    on-curve only; the walk of e(C, psi) is psi's subgroup check; no
+    other role decodes curve points), and designcrypts.  Non-satisfying
     payloads are silently ignored; a satisfying payload that fails
     verification raises an integrity alarm event.
 
@@ -358,6 +358,11 @@ class NodeService:
     tick() returns true when it made progress; the loop then runs it
     again at once, and otherwise waits first: until _wake is set, for at
     most poll_interval.
+
+    Nodes only call append() on `events` (one dict per event) and on a
+    DeviceNode's `accepted` ((index, message), before the "accepted"
+    event), and never read them back: a caller may put any object with
+    an append() in their place before start(), as the CLI does.
     """
 
     poll_interval = 0.02

@@ -19,10 +19,10 @@ Delivery ("push_mode"): "payload" has the edge push each new block to
 every device; "pull" has the devices poll the edge.  Either way a device
 ingests the same canonical block JSON.
 
-Fault injection: "tamper-payload" re-delivers the block with its
-payload corrupted (expect integrity alarms on every device),
-"stale-replay" re-delivers it after the freshness window (expect a
-stale rejection).
+Fault injection, in threads mode only: "tamper-payload" re-delivers
+the block with its payload corrupted (expect integrity alarms on every
+device), "stale-replay" re-delivers it after the freshness window
+(expect a stale rejection).
 """
 
 import json
@@ -46,7 +46,7 @@ _DEFAULTS = {
     "message": "broadcast payload",
     "seed": 20240816,
     "push_mode": "payload",  # payload | pull
-    "fault": "none",
+    "fault": "none",  # none | tamper-payload | stale-replay (threads mode)
     "devices": [
         {"name": "sd-match", "attributes": ["alpha", "beta"], "expect": "accepted"},
         {"name": "sd-other", "attributes": ["alpha", "gamma"], "expect": "ignored"},
@@ -87,6 +87,10 @@ def run_scenario(config=None, mode="threads"):
     cfg = _merged(config)
     if cfg["push_mode"] not in ("payload", "pull"):
         raise ValueError(f"unknown push_mode {cfg['push_mode']!r}")
+    if cfg["fault"] not in ("none", "tamper-payload", "stale-replay"):
+        raise ValueError(f"unknown fault {cfg['fault']!r}")
+    if mode == "procs" and cfg["fault"] != "none":
+        raise ValueError(f"fault {cfg['fault']!r} runs in threads mode only")
     if mode == "threads":
         return _run_threads(cfg)
     if mode == "procs":
@@ -154,7 +158,7 @@ def _run_threads(cfg):
         while time.monotonic() < deadline:
             if virtual and len(validator.chain) < 2:
                 clock.advance(slot_seconds)
-            done = all(_settled(devices[d["name"]]) for d in cfg["devices"])
+            done = all(_outcome(node.events) for node in devices.values())
             if len(validator.chain) >= 2 and done:
                 break
             time.sleep(0.05)
@@ -168,25 +172,13 @@ def _run_threads(cfg):
         if cfg["fault"] == "stale-replay" and len(validator.chain) >= 2:
             _fault_replay(cfg, clock, edge, devices, slot_seconds, virtual)
 
-        outcomes = {}
-        ok = len(validator.chain) >= 2
-        for dev in cfg["devices"]:
-            node = devices[dev["name"]]
-            got = _outcome_of(node)
-            # a tampered re-delivery trips the digest gate on every device,
-            # before any attribute filtering
-            want = ("alarm" if cfg["fault"] == "tamper-payload"
-                    else dev["expect"])
-            outcomes[dev["name"]] = (got, want)
-            if got != want:
-                ok = False
-            if want == "accepted" and got == "accepted":
-                if node.accepted[0][1] != _message_bytes(cfg):
-                    ok = False
-        events = []
-        for node in started:
-            events.extend(node.events)
-        return ScenarioResult(ok, outcomes, events, slots_used)
+        ok, outcomes = _verdicts(
+            cfg, len(validator.chain) >= 2,
+            {name: node.events for name, node in devices.items()},
+            lambda name: devices[name].accepted[0][1])
+        return ScenarioResult(ok, outcomes,
+                              [e for node in started for e in node.events],
+                              slots_used)
     finally:
         # stop() waits out the loop's tick; stopping the validator last
         # keeps the edge's tick from retrying a validator already gone
@@ -194,22 +186,37 @@ def _run_threads(cfg):
             node.stop()
 
 
-def _settled(device):
-    return any(e["event"] in ("accepted", "ignored", "integrity-alarm")
-               for e in device.events)
+_TERMINAL = {"accepted": "accepted", "ignored": "ignored",
+             "integrity-alarm": "alarm"}
 
 
-def _outcome_of(device):
-    # last terminal event wins: fault injection re-delivers after the
-    # initial settle, and the verdict of the re-delivery is the outcome
-    for e in reversed(device.events):
-        if e["event"] == "accepted":
-            return "accepted"
-        if e["event"] == "ignored":
-            return "ignored"
-        if e["event"] == "integrity-alarm":
-            return "alarm"
-    return "none"
+def _outcome(events):
+    """A device's outcome from its events, or None before it settles.
+
+    The last terminal event wins: fault injection re-delivers after the
+    first settle, and the verdict on the re-delivery is the outcome.
+    """
+    for e in reversed(events):
+        if e["event"] in _TERMINAL:
+            return _TERMINAL[e["event"]]
+    return None
+
+
+def _verdicts(cfg, sealed, events, recovered):
+    """(ok, {device: (got, want)}) from each device's events, in either
+    mode; recovered(name) gives the bytes an accepting device recovered."""
+    ok = sealed
+    outcomes = {}
+    for dev in cfg["devices"]:
+        got = _outcome(events[dev["name"]]) or "none"
+        # a tampered re-delivery trips the digest gate on every device,
+        # before any attribute filtering
+        want = "alarm" if cfg["fault"] == "tamper-payload" else dev["expect"]
+        outcomes[dev["name"]] = (got, want)
+        if got != want or (got == "accepted"
+                           and recovered(dev["name"]) != _message_bytes(cfg)):
+            ok = False
+    return ok, outcomes
 
 
 def _redeliver(block, devices):
@@ -323,10 +330,8 @@ def _run_procs(cfg):
                "--listen", f"127.0.0.1:{eport}"] + push)
         if not _wait_http(f"{eurl}/chain/head"):
             raise RuntimeError("edge did not come up")
-        for dev in cfg["devices"]:
-            if not _wait_http(f"http://127.0.0.1:{dev_ports[dev['name']]}/chain/head",
-                              deadline=5.0):
-                pass  # devices 404 on that path but the socket must answer
+        for port in dev_ports.values():  # a device answers any GET, with 404
+            _wait_http(f"http://127.0.0.1:{port}/chain/head", deadline=5.0)
 
         run(["sp", "publish", "--bundle", os.path.join(workdir, "sp.json"),
              "--public", public, "--validator", vurl,
@@ -334,11 +339,11 @@ def _run_procs(cfg):
         publish_slot = int(time.time()) // cfg["slot_seconds"]
 
         deadline = time.monotonic() + 30 + 2 * cfg["slot_seconds"]
-        outcomes = {}
-        while time.monotonic() < deadline:
-            outcomes = {name: _read_outcome(path)
-                        for name, path in out_files.items()}
-            if all(o is not None for o in outcomes.values()):
+        while True:
+            events = {name: _read_events(path)
+                      for name, path in out_files.items()}
+            if (all(_outcome(e) for e in events.values())
+                    or time.monotonic() >= deadline):
                 break
             time.sleep(0.2)
 
@@ -347,28 +352,16 @@ def _run_procs(cfg):
                       if head["index"] >= 1 else None)
         slots_used = (block_slot - publish_slot + 1) if block_slot else None
 
-        ok = head["index"] >= 1
-        final = {}
-        for dev in cfg["devices"]:
-            got = outcomes.get(dev["name"]) or "none"
-            final[dev["name"]] = (got, dev["expect"])
-            if got != dev["expect"]:
-                ok = False
-            if dev["expect"] == "accepted" and got == "accepted":
-                deadline2 = time.monotonic() + 5
-                recovered = None
-                while recovered is None and time.monotonic() < deadline2:
-                    dirpath = accept_dirs[dev["name"]]
-                    names = sorted(os.listdir(dirpath)) if os.path.isdir(dirpath) else []
-                    if names:
-                        with open(os.path.join(dirpath, names[0]), "rb") as fh:
-                            recovered = fh.read()
-                    else:
-                        time.sleep(0.2)
-                if recovered != _message_bytes(cfg):
-                    ok = False
-        events = [{"node": "procs", "event": "head", "index": head["index"]}]
-        return ScenarioResult(ok, final, events, slots_used)
+        def recovered(name):
+            # a device writes block{N}.bin before it logs "accepted"
+            path = os.path.join(accept_dirs[name], f"block{head['index']}.bin")
+            with open(path, "rb") as fh:
+                return fh.read()
+
+        ok, outcomes = _verdicts(cfg, head["index"] >= 1, events, recovered)
+        return ScenarioResult(ok, outcomes,
+                              [e for d in cfg["devices"] for e in events[d["name"]]],
+                              slots_used)
     finally:
         for p in procs:
             p.terminate()
@@ -380,17 +373,12 @@ def _run_procs(cfg):
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def _read_outcome(path):
+def _read_events(path):
+    """A device's events file, parsed; a last line still being written
+    (no newline yet) is left for the next read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                evt = json.loads(line)
-                if evt.get("event") == "accepted":
-                    return "accepted"
-                if evt.get("event") == "ignored":
-                    return "ignored"
-                if evt.get("event") == "integrity-alarm":
-                    return "alarm"
+            lines = fh.read().split("\n")
     except FileNotFoundError:
-        return None
-    return None
+        return []
+    return [json.loads(line) for line in lines[:-1]]

@@ -2,10 +2,17 @@
 
 import csv
 import json
+import os
+import random
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
-from policycast import cli, ledger, nodes
+import policycast
+from policycast import absc, cli, ledger, nodes
 from policycast.groups import GroupContext
 
 
@@ -121,6 +128,69 @@ def test_publish_rejects_bad_policy_without_network(authority_dir, capsys):
                    "--policy", "alpha and", "--text", "x"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def fresh_block(authority_dir, text):
+    """A block sealed now on a new chain, carrying text for alpha and beta."""
+    _pub, pp, vset = cli._public_context(str(authority_dir / "public.json"))
+    sp = json.loads((authority_dir / "sp.json").read_text())
+    sk, vk = pp.publisher_keys(sp["key_sign"], sp["key_ver"])
+    st, ct = absc.signcrypt(pp, sk, text, "alpha and beta", random.Random(5))
+    record = ledger.make_record(sp["pseudo_id"], vk, st, ct)
+    block = ledger.propose_block(ledger.genesis(), record, sp["pseudo_id"],
+                                 int(time.time()), vset)
+    return ledger.block_to_json(block)
+
+
+def test_device_output_is_on_disk_when_ingest_returns(authority_dir, tmp_path):
+    pub, pp, vset = cli._public_context(str(authority_dir / "public.json"))
+    sd = json.loads((authority_dir / "sd.json").read_text())
+    key = absc.attribute_key_from_json(pp.ctx, sd["attribute_key"])
+    dev = nodes.DeviceNode(sd["pseudo_id"], pp, key, pub["publishers"],
+                           vset.slot_seconds)
+    events, inbox = tmp_path / "events.jsonl", tmp_path / "inbox"
+    inbox.mkdir()
+    dev.events = cli._Sink(str(events), cli._write_event)
+    dev.accepted = cli._Sink(str(inbox), cli._write_accepted)
+
+    assert dev.ingest(fresh_block(authority_dir, b"open vent 3")) == "accepted"
+    lines = [json.loads(line) for line in events.read_text().splitlines()]
+    assert [e["event"] for e in lines] == ["accepted"]
+    assert (inbox / "block1.bin").read_bytes() == b"open vent 3"
+    for sink in (dev.events, dev.accepted):  # each keeps nothing
+        assert not any(isinstance(v, (list, dict, tuple, set))
+                       for v in vars(sink).values())
+
+
+def test_sd_run_writes_a_push_at_once_and_exits_on_sigterm(authority_dir,
+                                                           tmp_path):
+    events, inbox = tmp_path / "events.jsonl", tmp_path / "inbox"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(policycast.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "policycast.cli", "sd", "run",
+         "--bundle", str(authority_dir / "sd.json"),
+         "--public", str(authority_dir / "public.json"),
+         "--listen", "127.0.0.1:0", "--events", str(events),
+         "--accept-dir", str(inbox)],
+        env=env, stdout=subprocess.PIPE, text=True)
+    try:
+        url = proc.stdout.readline().split()[-1]  # "... listening on URL"
+        resp = nodes.http_post_json(f"{url}/push",
+                                    fresh_block(authority_dir, b"dim lights"))
+        assert resp.json() == {"status": "accepted"}
+        # written before the reply went out: no copy loop to wait for
+        assert [json.loads(line)["event"]
+                for line in events.read_text().splitlines()] == ["accepted"]
+        assert (inbox / "block1.bin").read_bytes() == b"dim lights"
+        t0 = time.monotonic()
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=5) == 0
+        assert time.monotonic() - t0 < 2
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
 
 
 def test_bench_writes_csv(tmp_path, capsys):

@@ -239,34 +239,13 @@ def test_verify_reports_first_bad_block(material):
     assert ledger.verify_chain(chain, vs, {}) == (
         1, ledger.REJECT_UNREGISTERED)
 
-    other_root = ledger.checkpoint_genesis(chain[-1])
-    assert ledger.verify_chain(chain, vs, registry,
-                               expected_genesis=other_root) == (
+    # an index-0 root that is not genesis()
+    root = dataclasses.replace(
+        chain[0], header=dataclasses.replace(chain[0].header, timestamp=1))
+    assert ledger.verify_chain([root.sealed()] + chain[1:], vs, registry) == (
         0, ledger.REJECT_BAD_GENESIS)
 
     assert ledger.verify_chain([], vs, registry) == (
-        0, ledger.REJECT_BAD_GENESIS)
-
-
-def test_checkpoint_genesis_links_old_tip(material):
-    _, record, registry = material
-    vs = vset()
-    old = build_chain(record, vs, registry, 4)
-    root = ledger.checkpoint_genesis(old[-1])
-    assert root.header.prev_hash == ledger.block_hash(old[-1])
-    assert root.header.index == 0
-    assert root.record is None
-
-    chain = [root]
-    now = root.header.timestamp + vs.slot_seconds  # first slot after the tip
-    slot = ledger.slot_of(now, vs.slot_seconds)
-    blk = ledger.propose_block(root, record, ledger.leader_for_slot(slot, vs),
-                               now, vs)
-    assert ledger.append_block(chain, blk, vs, registry) is None
-    assert ledger.verify_chain(chain, vs, registry,
-                               expected_genesis=root) is None
-    # the default-genesis rule refuses a checkpoint root
-    assert ledger.verify_chain(chain, vs, registry) == (
         0, ledger.REJECT_BAD_GENESIS)
 
 

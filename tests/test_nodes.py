@@ -180,6 +180,40 @@ def test_pull_mode(authority, stack_factory):
                for e in stack.devices["other"].events)
 
 
+class AppendOnly:
+    """Has append() and nothing else, like the CLI's disk sinks."""
+
+    __slots__ = ("_put",)
+
+    def __init__(self, put):
+        self._put = put
+
+    def append(self, item):
+        self._put(item)
+
+
+@pytest.mark.parametrize("mode", ["push", "pull"])
+def test_nodes_only_append_to_events_and_accepted(authority, stack_factory,
+                                                  mode):
+    # the CLI and perfbench both swap these out; a node that read them
+    # back would fail here rather than in a benchmark run
+    ta, bundles = authority
+    stack = stack_factory(push=mode == "push", pull=mode == "pull")
+    logged, accepted = [], []
+    for node in (stack.validator, stack.edge, *stack.devices.values()):
+        node.events = AppendOnly(logged.append)
+    for dev in stack.devices.values():
+        dev.accepted = AppendOnly(accepted.append)
+    stack.publish(ta, bundles)
+    stack.seal_next_slot()
+    stack.edge.sync_once()
+    for dev in stack.devices.values():
+        dev.tick()  # a pushed device's tick does nothing
+    assert accepted == [(1, MESSAGE)]
+    assert {("match", "accepted"), ("other", "ignored")} <= {
+        (e["node"], e["event"]) for e in logged}
+
+
 def test_pull_alarms_on_bad_payload_hex(authority, stack_factory, monkeypatch):
     ta, bundles = authority
     stack = stack_factory(pull=True)

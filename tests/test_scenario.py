@@ -62,12 +62,25 @@ def test_procs_pull_mode_spawns_pulling_devices(monkeypatch):
     edges = [a for a in spawned if a[3:5] == ["ed", "run"]]
     assert len(devices) == 2 and all("--pull" in a for a in devices)
     assert len(edges) == 1 and "--push" not in edges[0]
+    # the devices' own events, read from their --events files
+    assert sorted(e["event"] for e in res.events) == ["accepted", "ignored"]
 
 
 @pytest.mark.parametrize("mode", ["threads", "procs"])
 def test_unknown_push_mode_is_rejected(mode):
     with pytest.raises(ValueError):
         scenario.run_scenario(cfg(push_mode="header"), mode=mode)
+
+
+@pytest.mark.parametrize("mode, fault", [
+    ("threads", "tamper"),  # an unknown name must not run fault-free
+    ("procs", "tamper"),
+    ("procs", "tamper-payload"),  # procs mode injects no fault
+    ("procs", "stale-replay"),
+])
+def test_a_fault_the_run_cannot_inject_is_rejected(mode, fault):
+    with pytest.raises(ValueError, match="fault"):
+        scenario.run_scenario({"slot_seconds": 1, "fault": fault}, mode=mode)
 
 
 def test_tampered_payload_alarms_every_device():
