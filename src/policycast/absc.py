@@ -46,9 +46,19 @@ decodes C, w and the leaf points, which pairings only evaluate at,
 without a subgroup check (GroupContext.deserialize_evaluation_point).
 psi is decoded the same way, in the key group: e(C, psi) walks it, and
 the walk raises unless p*psi = O (pairing.tate_miller), which
-designcrypt turns into a failure.  So a device decodes every point with
-one on-curve check and no pt_mul.  Payloads signed without B do not
+designcrypt turns into a failure.  Payloads signed without B do not
 verify.
+
+Keys.  A device's key points (d_enc, every d_j and d'_j, and a
+publisher's key_ver) are decoded the same way, on the curve only
+(attribute_key_from_json, nodes.DeviceNode).  Each is a fixed pairing
+argument that designcrypt only walks: its first pairing builds its
+Miller lines, and that walk raises unless the point has order p
+(pairing.miller_lines), which designcrypt turns into a failure before
+any value built from the point is used.  So a device decodes every
+point, its key's included, with one on-curve check and no pt_mul.  A
+corrupt key file therefore loads and fails at first use.  The points
+that are raised or never walked stay strict: h, t, key_sign, g2^alpha.
 
 All hash-derived scalars are SHA-256 digests reduced mod p; the mask on
 the content key is the raw 32-byte digest.  Failure is a value: every
@@ -329,41 +339,46 @@ def _decrypt_core(pp, st, key, node):
     return core(node, ctx.scalar(1))
 
 
+def _failed(transcript, reason):
+    if transcript is not None:
+        transcript["reason"] = reason
+
+
 def designcrypt(pp, st, ct_msg, key, verification_key, transcript=None):
     """Recover and verify the message; None on any failure.
 
     Two final exponentiations in all: one for t^s, one for delta'.
+    Every pairing walks its key-side point, and the walk raises unless
+    the point has order p (GroupContext.miller): a key point's first
+    walk, which builds its lines, fails as key-not-in-subgroup, before
+    the message is decrypted, and psi's as psi-not-in-subgroup.
     """
     ctx = pp.ctx
-    a = _decrypt_core(pp, st, key, st.tree.root)
-    if a is None:
-        if transcript is not None:
-            transcript["reason"] = "unsatisfied"
-        return None
-    t_core = ctx.miller((st.c, key.d_enc)) * a.inverse()
+    try:
+        a = _decrypt_core(pp, st, key, st.tree.root)
+        if a is None:
+            return _failed(transcript, "unsatisfied")
+        t_core = ctx.miller((st.c, key.d_enc)) * a.inverse()
+        w_ver = ctx.miller((st.w, verification_key.key_ver))
+    except ValueError:
+        return _failed(transcript, "key-not-in-subgroup")
     t_s = ctx.final_exp(t_core)
     key_sym = _xor(st.c_tilde, ctx.hash_to_bits(t_s.to_bytes()))
     msg = sym_decrypt(key_sym, ct_msg)
     if transcript is not None:
         transcript.update(t_s=t_s, key_sym=key_sym)
     if msg is None:
-        if transcript is not None:
-            transcript["reason"] = "decrypt-failed"
-        return None
+        return _failed(transcript, "decrypt-failed")
     try:
-        c_psi = ctx.miller((st.c, st.psi))  # walks psi: its subgroup check
+        c_psi = ctx.miller((st.c, st.psi))
     except ValueError:
-        if transcript is not None:
-            transcript["reason"] = "psi-not-in-subgroup"
-        return None
-    denom = (ctx.miller((st.w, verification_key.key_ver)) * t_core) ** st.pi
+        return _failed(transcript, "psi-not-in-subgroup")
+    denom = (w_ver * t_core) ** st.pi
     delta_prime = ctx.final_exp(c_psi * denom.inverse())
     if transcript is not None:
         transcript["delta_prime"] = delta_prime
     if _pi(ctx, msg, delta_prime, st, ct_msg) != st.pi:
-        if transcript is not None:
-            transcript["reason"] = "verify-failed"
-        return None
+        return _failed(transcript, "verify-failed")
     return msg
 
 
@@ -522,12 +537,14 @@ def attribute_key_to_json(key):
 
 
 def attribute_key_from_json(ctx, obj):
+    """Decode a key's points on the curve only; the first pairing against
+    each walks it and refuses it unless it has order p (module docstring)."""
+    pt = ctx.deserialize_evaluation_point
     try:
-        d_enc = ctx.deserialize_element(hex_bytes(obj["d_enc"]), "s2")
+        d_enc = pt(hex_bytes(obj["d_enc"]), "s2")
         comps = {}
         for attr, (d_hex, dp_hex) in obj["comps"].items():
-            comps[attr] = (ctx.deserialize_element(hex_bytes(d_hex), "s2"),
-                           ctx.deserialize_element(hex_bytes(dp_hex), "s2"))
+            comps[attr] = (pt(hex_bytes(d_hex), "s2"), pt(hex_bytes(dp_hex), "s2"))
         if not comps:
             raise DecodeError("empty attribute key")
         return AttributeKey(d_enc, frozenset(comps), comps)

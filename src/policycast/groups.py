@@ -49,8 +49,15 @@ rejects y = 0.  It is sound only where the subgroup question is settled
 another way: absc signs every ciphertext point but psi into pi, which
 pairings only evaluate at (see the pairing module docstring), and psi,
 which e(C, psi) walks, is refused by that walk unless p*psi = O
-(pairing.tate_miller).  Identity elements never occur in honest
-protocol data and are not serializable.
+(pairing.tate_miller).  A device's key points (absc's
+attribute_key_from_json and nodes.DeviceNode's key_ver) are decoded
+the same way: each is fixed, and its first pairing builds its lines by
+a walk that refuses it unless it has order p (pairing.miller_lines).
+The strict path stays for the points that are raised or never walked:
+the public parameters h and t (absc.public_params_from_json), a
+publisher's key pair (absc.PublicParams.publisher_keys) and the
+authority's g2^alpha (nodes.TrustedAuthority.from_json).  Identity
+elements never occur in honest protocol data and are not serializable.
 """
 
 import hashlib
@@ -287,8 +294,9 @@ class GroupContext:
         gives ratios.  Every pair walks b and only evaluates at a, so
         only b needs to be in the order-p subgroup: pairs whose b is
         fixed (GroupElement.fixed) share one loop over the b's stored
-        lines, and any other pair runs tate_miller over b, which raises
-        ValueError unless b has order p.
+        lines, and any other pair runs tate_miller over b.  Both walks,
+        tate_miller and the first use's miller_lines, raise ValueError
+        unless b has order p; a b refused that way keeps no lines.
         """
         q = self.params.q
         f = _pr.FQ2_ONE
@@ -389,8 +397,8 @@ class GroupContext:
         see a cofactor-order shift of a point it only evaluates at
         (pairing module docstring), so the caller must bind those bytes
         another way: absc signs them into pi.  A point that a pairing
-        walks, as e(C, psi) walks psi, is refused by tate_miller unless
-        it has order p.
+        walks, as e(C, psi) walks psi and a key's first pairings walk
+        its points, is refused by that walk unless it has order p.
         """
         if not isinstance(data, (bytes, bytearray)):
             raise DecodeError("expected bytes")

@@ -15,9 +15,10 @@ exactly the devices whose attributes satisfy its policy:
     edge or pulled from it; enforces the freshness window, checks the
     payload digest against the header, decodes the payload (every point
     on-curve only; the walk of e(C, psi) is psi's subgroup check; no
-    other role decodes curve points), and designcrypts.  Non-satisfying
-    payloads are silently ignored; a satisfying payload that fails
-    verification raises an integrity alarm event.
+    other role decodes curve points), and designcrypts.  Its key points
+    are decoded on-curve only too; their first walk checks them.
+    Non-satisfying payloads are silently ignored; a satisfying payload
+    that fails verification raises an integrity alarm event.
 
 Wire format is JSON over HTTP; a request body may be at most MAX_BODY
 bytes.  A block travels in one form, ledger.block_to_json, with its
@@ -703,8 +704,8 @@ class DeviceNode(NodeService):
             hexkey = self.registry.get(publisher)
             if hexkey is None:
                 return None
-            self._verkeys[publisher] = absc.VerificationKey(
-                self.ctx.deserialize_element(absc.hex_bytes(hexkey), "s2"))
+            self._verkeys[publisher] = absc.VerificationKey(  # walked: absc, "Keys"
+                self.ctx.deserialize_evaluation_point(absc.hex_bytes(hexkey), "s2"))
         return self._verkeys[publisher]
 
     def receive(self, header, publisher, payload):

@@ -56,17 +56,20 @@ doublings.  pt_mul, the double-and-add for any other base, and the
 tables share one Jacobian-plus-affine mixed addition, _jac_add_affine.
 
 Walked and evaluated points.  Only the walked point must have order r:
-the loop relies on rP = O to end in the vertical chord, and tate_miller
-checks that it does, so a walked point needs no subgroup check of its
-own.  Its Jacobian doubling is exact whenever Y != 0 and its chord
-whenever H != 0 (T != +-P); a degenerate step (Y = 0, or H = 0 for
-T = P or T = -P) sets Z to 0, and Z = 0 stays 0 through every later
-doubling (2*Y*Z) and chord (Z*H).  So Z != 0 before the last addition
-step means every step was exact and T = (r - 1)P there, and a vertical
-chord at that step (H = 0, R != 0) means T = -P, hence rP = O.  Any
-other end, an earlier vertical chord included, raises ValueError.  A
-point of order r walks with no degenerate step, because kP != O,
-+-P for 1 < k < r - 1 and no point of odd order has y = 0.  The reduced
+the loop relies on rP = O to end in the vertical chord, and both walks,
+tate_miller and miller_lines, check that it does, so a walked point
+needs no subgroup check of its own.  The walked points are the key-side
+ones: every key point, whose first pairing builds its lines, and psi,
+which e(C, psi) walks (absc).  A walk's Jacobian doubling is exact
+whenever Y != 0 and its chord whenever H != 0 (T != +-P); a
+degenerate step (Y = 0, or H = 0 for T = P or T = -P) sets Z to 0,
+and Z = 0 stays 0 through every later doubling (2*Y*Z) and chord
+(Z*H).  So Z != 0 before the last addition step means every step
+was exact and T = (r - 1)P there, and a vertical chord at that step
+(H = 0, R != 0) means T = -P, hence rP = O.  Any other end, an
+earlier vertical chord included, raises ValueError.  A point of
+order r walks with no degenerate step, because kP != O, +-P for
+1 < k < r - 1 and no point of odd order has y = 0.  The reduced
 pairing depends on the evaluation point Q only modulo rE, because the
 Tate pairing is trivial on rE in its second argument.  q + 1 = c*r with
 r coprime to c, so any Q' of E(F_q) is Q + h with Q of order r and h of
@@ -426,12 +429,14 @@ def miller_lines(P, params):
     Walks P through tate_miller's loop and keeps each line as
     (a, b, doubling), scaled so that its value at phi(Q) is
     a + b*xq + i*yq; doubling marks the lines that follow a squaring.
+    Raises ValueError unless rP = O, by tate_miller's end check.
     """
     q = params.q
     xp, yp = P
     X, Y, Z = xp, yp, 1
     raw = []  # (a, b) numerators, the F_q scale to divide out, doubling
-    for bit in params.r_tail:
+    last = len(params.r_tail) - 1
+    for k, bit in enumerate(params.r_tail):
         Zsq = Z * Z % q
         A = X * X % q
         B = Y * Y % q
@@ -448,8 +453,8 @@ def miller_lines(P, params):
             Zsq = Z * Z % q
             H = (xp * Zsq - X) % q
             R = (yp * Z % q * Zsq - Y) % q
-            if H == 0 and R != 0:
-                break  # vertical chord at T = -P, the last step: dropped
+            if k == last:
+                break  # r is odd: the walk ends on this chord
             H2 = H * H % q
             H3 = H * H2 % q
             X2 = (R * R - H3 - 2 * X * H2) % q
@@ -458,6 +463,8 @@ def miller_lines(P, params):
             # tate_miller's chord Z2*yp - R*(xq + xp) - i*Z2*yq
             raw.append(((R * xp - Z2 * yp) % q, R, Z2, False))
             X, Y, Z = X2, Y2, Z2
+    if Z == 0 or H != 0 or R == 0:  # not the vertical chord at T = -P
+        raise ValueError("walked point is not of order r")
     inverses = _batch_inv([scale for _, _, scale, _ in raw], q)
     return [(a * s_inv % q, b * s_inv % q, doubling)
             for (a, b, _, doubling), s_inv in zip(raw, inverses)]

@@ -204,18 +204,19 @@ def _outcome(events):
 
 def _verdicts(cfg, sealed, events, recovered):
     """(ok, {device: (got, want)}) from each device's events, in either
-    mode; recovered(name) gives the bytes an accepting device recovered."""
+    mode; recovered(name) gives the bytes an accepting device recovered,
+    and an accept of other bytes than the message is not an accept."""
     ok = sealed
     outcomes = {}
     for dev in cfg["devices"]:
         got = _outcome(events[dev["name"]]) or "none"
+        if got == "accepted" and recovered(dev["name"]) != _message_bytes(cfg):
+            got = "accepted-wrong-bytes"
         # a tampered re-delivery trips the digest gate on every device,
         # before any attribute filtering
         want = "alarm" if cfg["fault"] == "tamper-payload" else dev["expect"]
         outcomes[dev["name"]] = (got, want)
-        if got != want or (got == "accepted"
-                           and recovered(dev["name"]) != _message_bytes(cfg)):
-            ok = False
+        ok = ok and got == want
     return ok, outcomes
 
 
@@ -333,9 +334,12 @@ def _run_procs(cfg):
         for port in dev_ports.values():  # a device answers any GET, with 404
             _wait_http(f"http://127.0.0.1:{port}/chain/head", deadline=5.0)
 
+        message_file = os.path.join(workdir, "message.bin")
+        with open(message_file, "wb") as fh:
+            fh.write(_message_bytes(cfg))
         run(["sp", "publish", "--bundle", os.path.join(workdir, "sp.json"),
              "--public", public, "--validator", vurl,
-             "--policy", cfg["policy"], "--text", cfg["message"]])
+             "--policy", cfg["policy"], "--message-file", message_file])
         publish_slot = int(time.time()) // cfg["slot_seconds"]
 
         deadline = time.monotonic() + 30 + 2 * cfg["slot_seconds"]

@@ -631,6 +631,71 @@ def test_cofactor_shifted_psi_fails_designcrypt(signed_payload):
     assert device_receive(pp, key, vk, bad, ct_obj) == ("alarm", ["designcrypt-failed"])
 
 
+def test_key_load_does_no_pt_mul_and_no_strict_decode(signed_payload,
+                                                      monkeypatch):
+    # every key point is walked by its first pairing, which checks its
+    # subgroup, so loading a key and building the device decode each
+    # point on the curve only, and the cold receive adds no pt_mul either
+    pp, key, vk, st_obj, ct_obj, _ = signed_payload
+    ctx = pp.ctx
+    key_json = absc.attribute_key_to_json(key)
+    calls = []
+    real_mul, real_decode = pairing.pt_mul, GroupContext.deserialize_element
+
+    def mul(P, k, q):
+        calls.append("pt_mul")
+        return real_mul(P, k, q)
+
+    def decode(self, data, group):
+        calls.append("deserialize_element")
+        return real_decode(self, data, group)
+
+    monkeypatch.setattr(pairing, "pt_mul", mul)
+    monkeypatch.setattr(GroupContext, "deserialize_element", decode)
+    loaded = absc.attribute_key_from_json(ctx, key_json)
+    assert loaded.comps == key.comps and loaded.d_enc == key.d_enc
+    assert device_receive(pp, loaded, vk, st_obj, ct_obj) == ("accepted", [])
+    assert calls == []
+
+
+@pytest.mark.parametrize("point", ["d_enc", "d_j", "d_j_prime", "key_ver"])
+def test_cofactor_shifted_key_point_loads_and_fails_designcrypt(signed_payload,
+                                                                point):
+    # a key point outside the subgroup decodes, and its first walk, the
+    # one that builds its lines, refuses it before any value built from
+    # it is used: designcrypt fails and the device alarms, every time
+    pp, key, vk, st_obj, ct_obj, _ = signed_payload
+    ctx = pp.ctx
+    used = BINDING_CASES[ctx.profile.value][1][0]
+
+    def shifted(el):
+        moved = pairing.pt_add(el.point, oracles.cofactor_point(
+            ctx.params, random.Random(167)), ctx.params.q)
+        assert pairing.pt_mul(moved, ctx.p, ctx.params.q) is not None
+        return GroupElement(ctx, ctx.key_group, moved)
+
+    key_json = absc.attribute_key_to_json(key)
+    d_hex, dp_hex = key_json["comps"][used]
+    if point == "d_enc":
+        key_json["d_enc"] = shifted(key.d_enc).to_bytes().hex()
+    elif point == "d_j":
+        key_json["comps"][used] = [shifted(key.comps[used][0]).to_bytes().hex(),
+                                   dp_hex]
+    elif point == "d_j_prime":
+        key_json["comps"][used] = [d_hex,
+                                   shifted(key.comps[used][1]).to_bytes().hex()]
+    else:
+        vk = absc.VerificationKey(shifted(vk.key_ver))
+    loaded = absc.attribute_key_from_json(ctx, key_json)
+    st, ct = absc.st_from_json(ctx, st_obj), absc.ct_from_json(ct_obj)
+    for _ in range(2):  # a refused point keeps no lines, so it is walked again
+        transcript = {}
+        assert absc.designcrypt(pp, st, ct, loaded, vk, transcript) is None
+        assert transcript["reason"] == "key-not-in-subgroup"
+    assert device_receive(pp, loaded, vk, st_obj, ct_obj) == (
+        "alarm", ["designcrypt-failed"])
+
+
 def test_order_two_point_alarms_at_decode(signed_payload):
     pp, key, vk, st_obj, ct_obj, _ = signed_payload
     zero = "02" + "00" * 2 * pp.ctx.params.fq_bytes  # (0, 0)

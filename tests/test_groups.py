@@ -352,7 +352,28 @@ def test_miller_walk_matches_the_unchecked_loop(ctx):
             assert pr.tate_miller(K, pt, ps) == oracles.tate_miller_unchecked(K, pt, ps)
 
 
-def test_miller_walk_refuses_points_outside_the_subgroup(ctx):
+def _walk(walker, P, Q, ps):
+    """The unreduced pairing with P walked and Q evaluated, by walker: the
+    full loop, or P's line table evaluated at Q."""
+    if walker == "miller_lines":
+        return pr.fixed_miller([(pr.miller_lines(P, ps), Q)], ps)
+    return pr.tate_miller(P, Q, ps)
+
+
+def _agrees(walker, f, g, q):
+    """tate_miller computes the unchecked loop's value g; a line table's
+    value differs from it by an F_q factor, which the final
+    exponentiation kills, so f*conj(g) has no i-part."""
+    if walker == "tate_miller":
+        return f == g
+    return (f[1] * g[0] - f[0] * g[1]) % q == 0
+
+
+WALKERS = ["tate_miller", "miller_lines"]
+
+
+@pytest.mark.parametrize("walker", WALKERS)
+def test_miller_walk_refuses_points_outside_the_subgroup(ctx, walker):
     # the walk raises exactly when rP != O: for cofactor-order points,
     # alone and added to a subgroup point, and for (0, 0), whose first
     # doubling has Y = 0, so Z is 0 from there to the end
@@ -368,19 +389,25 @@ def test_miller_walk_refuses_points_outside_the_subgroup(ctx):
     refused = 0
     for P in walked:
         if pr.pt_mul(P, ps.r, ps.q) is None:
-            assert pr.tate_miller(P, Q, ps) == oracles.tate_miller_unchecked(P, Q, ps)
+            assert _agrees(walker, _walk(walker, P, Q, ps),
+                           oracles.tate_miller_unchecked(P, Q, ps), ps.q)
         else:
             with pytest.raises(ValueError, match="not of order r"):
-                pr.tate_miller(P, Q, ps)
+                _walk(walker, P, Q, ps)
             refused += 1
     assert refused == len(walked) - 1
-    # and through the group layer: a plain key-side element is walked
+    # and through the group layer: a key-side element is walked, by the
+    # full loop when plain and by its line build when fixed
     shifted = GroupElement(ctx, ctx.key_group, walked[-1])
-    with pytest.raises(ValueError):
-        ctx.pair(ctx.g1, shifted)
+    if walker == "miller_lines":
+        shifted = shifted.fixed()
+    for _ in range(2):  # a refused fixed point keeps no lines
+        with pytest.raises(ValueError, match="not of order r"):
+            ctx.pair(ctx.g1, shifted)
 
 
-def test_miller_walk_refuses_an_early_vertical_chord():
+@pytest.mark.parametrize("walker", WALKERS)
+def test_miller_walk_refuses_an_early_vertical_chord(walker):
     # no small-order point of the pinned curves meets a vertical chord
     # before the last step, so the loop runs under a stand-in r over the
     # SYMMETRIC_512 curve: walked along the bits of 11, a point P of
@@ -399,12 +426,12 @@ def test_miller_walk_refuses_an_early_vertical_chord():
         return pr.CurveParams(f"r={r}", ps.q, r, None, ps.g1, None, True)
 
     Q = ps.g1
-    assert pr.tate_miller(P, Q, stand_in(5)) == oracles.tate_miller_unchecked(
-        P, Q, stand_in(5))
+    assert _agrees(walker, _walk(walker, P, Q, stand_in(5)),
+                   oracles.tate_miller_unchecked(P, Q, stand_in(5)), ps.q)
     oracles.tate_miller_unchecked(P, Q, stand_in(11))  # stops early, silently
     for r in (7, 11):
         with pytest.raises(ValueError, match="not of order r"):
-            pr.tate_miller(P, Q, stand_in(r))
+            _walk(walker, P, Q, stand_in(r))
 
 
 def test_evaluation_point_decode(ctx):

@@ -423,13 +423,17 @@ def test_relays_never_decode_curve_points(authority, stack_factory, tmp_path,
     stack.validator.store_path = tmp_path / "chain.jsonl"
     record = record_for(bundles, *signcrypted_parts(ta, bundles))
     calls = []
-    real = GroupContext.deserialize_element
 
-    def counting(self, data, group):
-        calls.append(group)
-        return real(self, data, group)
+    def counting(name):
+        real = getattr(GroupContext, name)
 
-    monkeypatch.setattr(GroupContext, "deserialize_element", counting)
+        def wrapper(self, *args):
+            calls.append(name)
+            return real(self, *args)
+        return wrapper
+
+    for name in ("deserialize_element", "deserialize_evaluation_point"):
+        monkeypatch.setattr(GroupContext, name, counting(name))
     resp = http_post_json(f"{stack.validator.url}/records",
                           ledger.record_to_json(record))
     assert resp.json() == {"status": "accepted"}
@@ -439,11 +443,11 @@ def test_relays_never_decode_curve_points(authority, stack_factory, tmp_path,
     loaded = ledger.load_chain(stack.validator.store_path, ta.ctx)
     assert loaded == stack.validator.chain
     assert calls == []
-    # the counter is live: the device is the one strict decoder
+    # the counter is live: the device is the one decoder
     header = ledger.header_to_json(stack.edge.chain[1])
     match = stack.devices["match"]
     assert match.receive(header, record.pseudo_id, record.payload) == "accepted"
-    assert calls
+    assert set(calls) == {"deserialize_evaluation_point"}
 
 
 def test_off_curve_point_passes_relays_and_alarms_devices(authority, stack_factory):

@@ -108,3 +108,21 @@ def test_unknown_mode_is_rejected():
 def test_message_hex_override():
     res = scenario.run_scenario(cfg(message_hex="00ff10"))
     assert res.ok
+
+
+def test_procs_mode_publishes_message_hex():
+    # the publisher sends the configured bytes, not the default text
+    res = scenario.run_scenario({"slot_seconds": 1, "message_hex": "00ff10"},
+                                mode="procs")
+    assert res.ok, res.summary()
+
+
+def test_an_accept_of_other_bytes_is_a_mismatch():
+    conf = scenario._merged({"message_hex": "00ff10"})
+    events = {"sd-match": [{"event": "accepted"}],
+              "sd-other": [{"event": "ignored"}]}
+    ok, outcomes = scenario._verdicts(conf, True, events, lambda name: b"other")
+    assert not ok
+    assert outcomes["sd-match"] == ("accepted-wrong-bytes", "accepted")
+    summary = scenario.ScenarioResult(ok, outcomes, [], 1).summary()
+    assert "sd-match: expected accepted, got accepted-wrong-bytes [MISMATCH]" in summary

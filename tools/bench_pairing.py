@@ -13,6 +13,7 @@ Ops, on each curve profile:
     decode_s1         strict decode of one s1 point
     decode_eval       evaluation-point decode of one s1 point (on-curve only)
     payload_decode    payload_from_bytes of an AND-of-n payload, points included
+    key_load          attribute_key_from_json of an n-attribute key
     signcrypt_warm    signcrypt, AND of n attributes, signing key reused
     designcrypt_warm  designcrypt, AND of n attributes, key reused
     designcrypt_cold  the same with a fresh copy of the key each call
@@ -108,6 +109,8 @@ def bench_profile(profile):
             if absc.designcrypt(pp, st, ct, *keys) is None:
                 raise RuntimeError(f"designcrypt failed on {profile}, n={n}")
 
+        rows.append(_row(profile, "key_load", n, _time(
+            lambda _: absc.attribute_key_from_json(ctx, key_json), REPEATS)))
         data = absc.payload_bytes(st, ct)
         rows.append(_row(profile, "payload_decode", n, _time(
             lambda _: absc.payload_from_bytes(ctx, data), REPEATS)))
