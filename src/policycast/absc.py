@@ -542,11 +542,11 @@ def attribute_key_from_json(ctx, obj):
     pt = ctx.deserialize_evaluation_point
     try:
         d_enc = pt(hex_bytes(obj["d_enc"]), "s2")
-        comps = {}
-        for attr, (d_hex, dp_hex) in obj["comps"].items():
-            comps[attr] = (pt(hex_bytes(d_hex), "s2"), pt(hex_bytes(dp_hex), "s2"))
-        if not comps:
-            raise DecodeError("empty attribute key")
+        raw = obj["comps"]
+        if not isinstance(raw, dict) or not raw:
+            raise DecodeError("attribute key comps must be a non-empty object")
+        comps = {attr: (pt(hex_bytes(d_hex), "s2"), pt(hex_bytes(dp_hex), "s2"))
+                 for attr, (d_hex, dp_hex) in raw.items()}
         return AttributeKey(d_enc, frozenset(comps), comps)
     except DecodeError:
         raise

@@ -230,7 +230,9 @@ def build_parser():
         dest="ta_command", required=True)
     p = ta.add_parser("init")
     p.add_argument("--dir", required=True)
-    p.add_argument("--profile", default="SYMMETRIC_512")
+    p.add_argument("--profile", default="SYMMETRIC_512",
+                   help="SYMMETRIC_512 (at most ~80-bit security) or ASYMMETRIC_159 "
+                        "(318-bit F_q2: for tests and benchmarks only)")
     p.add_argument("--slot-seconds", type=int, default=15)
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_ta_init)

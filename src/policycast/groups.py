@@ -10,6 +10,15 @@ pairing, and the two hash maps used by the scheme:
 Note the coupling: hash_to_scalar is exactly the reduction of
 hash_to_bits.  Both profiles share this construction.
 
+Security level.  Both profiles are the supersingular curve
+y^2 = x^3 + x with embedding degree 2, so a discrete logarithm reduces to
+one in F_q2 (Menezes, Okamoto and Vanstone, 1993).  SYMMETRIC_512's
+1024-bit F_q2 gives at most about 80 bits.  ASYMMETRIC_159's 318-bit
+F_q2 is far below the 595-bit F_p2 logarithm computed in 2015
+(Barbulescu, Gaudry, Guillevic and Morain): it is a test and benchmark
+profile that protects nothing.  Both are the same type-1 construction
+with the distortion map; "asymmetric" names a tag discipline only.
+
 Elements carry their group tag ("s1", "s2", "gt"); mixing groups in a
 group operation or feeding the pairing arguments in the wrong order
 raises GroupMismatchError rather than silently computing garbage.  In
@@ -24,10 +33,11 @@ other element pairs through the full loop (pairing.tate_miller), which
 walks it too: the s1 argument is always the evaluation point.  A fixed
 element also keeps a window table, built by its first ** and used by
 every later one (pairing.pt_mul_fixed): g1, g2, absc's h and a
-publisher's key_sign are raised that way, and the generators' tables
-are shared by every context of a profile.  A fixed element that is
+publisher's key_sign are raised that way.  A fixed element that is
 never raised, such as a device key, builds no table; any other base
-goes through pairing.pt_mul.
+goes through pairing.pt_mul.  GroupContext(profile) returns the
+process's one context for the profile, so the generators' tables, g2's
+lines and the cached e(g1, g2) are built once per process.
 
 Serialized form (all big-endian, fixed width per profile):
 
@@ -60,6 +70,7 @@ authority's g2^alpha (nodes.TrustedAuthority.from_json).  Identity
 elements never occur in honest protocol data and are not serializable.
 """
 
+import functools
 import hashlib
 import random
 from enum import Enum
@@ -155,7 +166,7 @@ class GroupElement:
     def _check(self, other):
         if not isinstance(other, GroupElement):
             raise GroupMismatchError(f"expected GroupElement, got {type(other).__name__}")
-        if other.ctx.profile != self.ctx.profile or other.group != self.group:
+        if other.ctx is not self.ctx or other.group != self.group:
             raise GroupMismatchError(
                 f"cannot combine {self.group} and {other.group} elements")
 
@@ -213,11 +224,11 @@ class GroupElement:
         return self.point is None
 
     def __eq__(self, other):
-        return (isinstance(other, GroupElement) and self.group == other.group
-                and self.ctx.profile == other.ctx.profile and self.point == other.point)
+        return (isinstance(other, GroupElement) and self.ctx is other.ctx
+                and self.group == other.group and self.point == other.point)
 
     def __hash__(self):
-        return hash((self.ctx.profile, self.group, self.point))
+        return hash((self.ctx, self.group, self.point))
 
     def __repr__(self):
         if self.is_identity:
@@ -231,37 +242,27 @@ class GroupElement:
 
 
 class GroupContext:
-    """Bilinear group setting for one curve profile."""
+    """Bilinear group setting for one curve profile, one per process."""
 
-    def __init__(self, profile):
-        if isinstance(profile, str) and not isinstance(profile, CurveProfile):
-            try:
-                profile = CurveProfile(profile)
-            except ValueError:
-                raise ConfigurationError(f"unsupported profile: {profile!r}") from None
-        if profile == CurveProfile.SYMMETRIC_512:
-            self.params = _pr.SYM512
-        elif profile == CurveProfile.ASYMMETRIC_159:
-            self.params = _pr.ASYM159
-        else:
-            raise ConfigurationError(f"unsupported profile: {profile!r}")
-        self.profile = profile
-        self.p = self.params.r
-        self.symmetric = self.params.symmetric
+    def __new__(cls, profile):
+        try:
+            return _CONTEXTS[CurveProfile(profile)]
+        except ValueError:
+            raise ConfigurationError(f"unsupported profile: {profile!r}") from None
+
+    @classmethod
+    def _build(cls, params):
+        ctx = object.__new__(cls)
+        ctx.profile = CurveProfile(params.name)
+        ctx.params = params
+        ctx.p = params.r
+        ctx.symmetric = params.symmetric
         # group tag used for key-side ("second source") elements
-        self.key_group = "s1" if self.symmetric else "s2"
-        g2 = self.params.g1 if self.symmetric else self.params.g2pre
-        self.g2 = self._generator(self.key_group, g2)
-        self.g1 = self.g2 if self.symmetric else self._generator("s1", self.params.g1)
-        self._t0 = None
-
-    def _generator(self, group, point):
-        """A fixed generator whose window table every context of the
-        profile shares (CurveParams.tables), so a new context builds none;
-        the table is a function of the pinned point alone."""
-        el = GroupElement(self, group, point).fixed()
-        el.table = self.params.tables.setdefault(point, [])
-        return el
+        ctx.key_group = "s1" if ctx.symmetric else "s2"
+        g2 = params.g1 if ctx.symmetric else params.g2pre
+        ctx.g2 = GroupElement(ctx, ctx.key_group, g2).fixed()
+        ctx.g1 = ctx.g2 if ctx.symmetric else GroupElement(ctx, "s1", params.g1).fixed()
+        return ctx
 
     # -- scalars ------------------------------------------------------------
 
@@ -329,16 +330,15 @@ class GroupContext:
         """e(a1, b1) / e(a2, b2) with one shared final exponentiation."""
         return self.final_exp(self.miller((a1, b1), (a2.inverse(), b2)))
 
+    @functools.cache
     def pairing_of_generators(self):
-        """e(g1, g2), cached."""
-        if self._t0 is None:
-            self._t0 = self.pair(self.g1, self.g2)
-        return self._t0
+        """e(g1, g2), computed once per process."""
+        return self.pair(self.g1, self.g2)
 
-    def _want(self, el, group):
-        if not isinstance(el, GroupElement) or el.ctx.profile != self.profile:
+    def _want(self, el, group=None):
+        if not isinstance(el, GroupElement) or el.ctx is not self:
             raise GroupMismatchError("element from a different context")
-        if el.group != group:
+        if group is not None and el.group != group:
             raise GroupMismatchError(f"expected {group} element, got {el.group}")
 
     # -- identities ---------------------------------------------------------
@@ -353,7 +353,7 @@ class GroupContext:
     # -- serialization ------------------------------------------------------
 
     def serialize_element(self, el):
-        self._own(el)
+        self._want(el)
         if el.is_identity or el.group == "miller":
             raise ValueError("identity and unreduced elements are not serializable")
         w = self.params.fq_bytes
@@ -424,9 +424,9 @@ class GroupContext:
             raise DecodeError("point is not on the curve")
         return pt
 
-    def _own(self, el):
-        if not isinstance(el, GroupElement) or el.ctx.profile != self.profile:
-            raise GroupMismatchError("element from a different context")
-
     def __repr__(self):
         return f"GroupContext({self.profile.value})"
+
+
+_CONTEXTS = {ctx.profile: ctx
+             for ctx in map(GroupContext._build, (_pr.SYM512, _pr.ASYM159))}

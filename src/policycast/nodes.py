@@ -66,7 +66,7 @@ from urllib.parse import parse_qs, urlsplit
 from weakref import WeakSet
 
 from . import absc, ledger
-from .groups import DecodeError, GroupContext, _SYSTEM_RNG
+from .groups import DecodeError, _SYSTEM_RNG
 from .policy import satisfies
 
 
@@ -754,8 +754,8 @@ class TrustedAuthority:
 
     def __init__(self, profile, rng=None, slot_seconds=15):
         self.rng = rng or _SYSTEM_RNG
-        self.ctx = GroupContext(profile)
-        self.pp, self.mk = absc.setup(self.ctx, self.rng)
+        self.pp, self.mk = absc.setup(profile, self.rng)
+        self.ctx = self.pp.ctx
         self.slot_seconds = slot_seconds
         self.directory = {}   # pseudo_id -> {real_identity, role, ...}
         self.publishers = {}  # pseudo_id -> key_ver hex
@@ -834,12 +834,10 @@ class TrustedAuthority:
     def from_json(cls, obj, rng=None):
         ta = cls.__new__(cls)
         ta.rng = rng or _SYSTEM_RNG
-        ta.ctx = GroupContext(obj["profile"])
-        pp = absc.public_params_from_json(obj["pk"])
-        ta.pp = pp
-        from .groups import Scalar
+        ta.pp = absc.public_params_from_json(obj["pk"])
+        ta.ctx = ta.pp.ctx
         ta.mk = absc.MasterKey(
-            Scalar(int(obj["mk"]["beta"]), ta.ctx.p),
+            ta.ctx.scalar(int(obj["mk"]["beta"])),
             ta.ctx.deserialize_element(bytes.fromhex(obj["mk"]["g2_alpha"]), "s2"))
         ta.slot_seconds = obj["slot_seconds"]
         ta.directory = dict(obj["directory"])

@@ -92,10 +92,10 @@ pt_decompress is kept for tests that draw random curve points.
 
 
 class CurveParams:
-    """Pinned constants for one curve profile, and its generators' tables."""
+    """Pinned constants for one curve profile."""
 
     __slots__ = ("name", "q", "r", "c", "g1", "g2pre", "symmetric",
-                 "fq_bytes", "r_bytes", "r_tail", "tables")
+                 "fq_bytes", "r_bytes", "r_tail")
 
     def __init__(self, name, q, r, c, g1, g2pre, symmetric):
         self.name = name
@@ -108,7 +108,6 @@ class CurveParams:
         self.fq_bytes = (q.bit_length() + 7) // 8
         self.r_bytes = (r.bit_length() + 7) // 8
         self.r_tail = bin(r)[3:]  # bits of r after the leading one
-        self.tables = {}  # generator -> its fixed_base_table, filled on first use
 
 
 # 512-bit field, 160-bit group order; source groups coincide.

@@ -1,11 +1,13 @@
 """Group substrate: curve parameters, pairing, serialization, hashing."""
 
+import gc
 import hashlib
 import random
 
 import pytest
 
 import oracles
+from policycast import absc, nodes
 from policycast import pairing as pr
 from policycast.groups import (ConfigurationError, DecodeError, GroupContext,
                                GroupElement, GroupMismatchError, Scalar)
@@ -160,11 +162,11 @@ def test_fixed_argument_lines_match_the_pairing(ctx):
     want = oracles.omul(oracles.naive_tate(A, B, ps),
                         oracles.oinv(oracles.tate_pairing(A2, B2, ps), ps.q), ps.q)
     assert pr.tate_final_exp(pr.fixed_miller(pairs, ps), ps) == want
-    # the pinned e(g1, g2) through g2's lines, in a fresh context
-    fresh = GroupContext(ctx.profile.value)
-    assert fresh.g2.lines == ()
-    assert fresh.pairing_of_generators().to_bytes().hex() == PINS[ctx.profile.value]["t0"]
-    assert len(fresh.g2.lines) > 0
+    # the pinned e(g1, g2) through the stored lines of a new fixed copy of g2
+    g2 = GroupElement(ctx, ctx.key_group, ctx.g2.point).fixed()
+    assert g2.lines == ()
+    assert ctx.pair(ctx.g1, g2).to_bytes().hex() == PINS[ctx.profile.value]["t0"]
+    assert len(g2.lines) > 0
 
 
 def test_pairing_path_follows_the_key_side_element(ctx):
@@ -561,8 +563,29 @@ def test_hash_kats(ctx):
 
 
 def test_context_determinism(ctx):
-    again = GroupContext(ctx.profile.value)
-    assert again.g1.to_bytes() == ctx.g1.to_bytes()
-    assert again.pairing_of_generators() == ctx.pairing_of_generators()
-    # elements from independently built contexts of one profile interoperate
-    assert again.g1 * ctx.g1 == ctx.g1 ** 2
+    # one context per profile: every lookup returns it
+    assert GroupContext(ctx.profile.value) is ctx
+    assert GroupContext(ctx.profile) is ctx
+    assert GroupContext(ctx.profile).pairing_of_generators() is ctx.pairing_of_generators()
+
+
+def test_set_ups_leave_no_contexts_behind():
+    # with the cyclic collector off, set-ups and decodes leave no context
+    # behind: they all use the profile's one context
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for profile in PINS:
+            rng = random.Random(61)
+            for _ in range(3):
+                pp, _ = absc.setup(profile, rng)
+                absc.public_params_from_json(absc.public_params_to_json(pp))
+                ta = nodes.TrustedAuthority(profile, rng)
+                nodes.TrustedAuthority.from_json(ta.state_to_json())
+        alive = [o.profile for o in gc.get_objects() if type(o) is GroupContext]
+    finally:
+        if enabled:
+            gc.enable()
+    for profile in PINS:
+        assert alive.count(profile) <= 1
+        assert GroupContext(profile) is GroupContext(profile)
