@@ -7,11 +7,17 @@ tree can strip the mask.  The signature layer binds the message, the
 session randomness and the whole payload but pi and psi to the sender's
 signing key.
 
-Setup:    h = g1^beta, t = e(g1, g2)^alpha; master key (beta, g2^alpha).
-KeyGen:   d_enc = g2^((alpha + r_enc)/beta), and per attribute j
-          d_j = g2^(r_enc + H2(j) * r_j), d'_j = g2^(r_j).
-          Signing pair: key_sign = g2^((alpha + r_sign)/beta),
-          key_ver = g2^(r_sign).
+Setup:    h = g1^beta, t = e(g1, g2)^alpha; master key
+          (beta, g2^(alpha/beta)).
+KeyGen:   d_enc = g2^((alpha + r_enc)/beta) = g2^(alpha/beta) *
+          g2^(r_enc/beta), and per attribute j d_j = g2^(r_enc + H2(j) * r_j),
+          d'_j = g2^(r_j).  Signing pair: key_sign = g2^(alpha/beta) *
+          g2^(r_sign/beta), key_ver = g2^(r_sign).  Every power is of the
+          fixed base g2, and each algorithm raises all of them in one
+          batch (GroupContext.pow_many), so key generation runs no
+          variable-base scalar multiplication.  Holding g2^(alpha/beta)
+          in place of g2^alpha exposes nothing more: each alone unmasks
+          any payload, as t^s = e(w, g2^alpha) = e(C, g2^(alpha/beta)).
 SignCrypt: share s over the tree; C = h^s, per-leaf C_y = g1^(q_y(0)),
           C'_y = g1^(H2(attr) * q_y(0)); c_tilde = key_sym XOR
           H1(ser(t^s)); w = g1^s; delta = e(C, g2)^zeta, computed as
@@ -19,7 +25,9 @@ SignCrypt: share s over the tree; C = h^s, per-leaf C_y = g1^(q_y(0)),
           parameters by the first signcrypt, so signcrypt pairs nothing;
           pi = H1(msg) + H2(ser(delta) || B); psi = g2^zeta * key_sign^pi.
           Every base signcrypt raises (g1, g2, h, key_sign) is fixed, so
-          each power reads the base's window table (GroupElement.fixed).
+          each power reads the base's window table (GroupElement.fixed),
+          and C, w, g2^zeta and every leaf's pair are one batch;
+          key_sign^pi, which needs pi, is a second.
 DeSignCrypt: recover A = e(g1,g2)^(r_enc * s) from the leaf components,
           unmask via e(C, d_enc)/A = t^s, decrypt, then check
           delta' = e(C, psi) / (e(w, key_ver) * t^s)^pi against pi.
@@ -58,7 +66,9 @@ Miller lines, and that walk raises unless the point has order p
 any value built from the point is used.  So a device decodes every
 point, its key's included, with one on-curve check and no pt_mul.  A
 corrupt key file therefore loads and fails at first use.  The points
-that are raised or never walked stay strict: h, t, key_sign, g2^alpha.
+that are raised or never walked stay strict: h, t, key_sign and the
+master key's g2^(alpha/beta), which master_key_from_json also checks
+against h and t.
 
 All hash-derived scalars are SHA-256 digests reduced mod p; the mask on
 the content key is the raw 32-byte digest.  Failure is a value: every
@@ -138,7 +148,7 @@ class PublicParams:
 @dataclass(frozen=True)
 class MasterKey:
     beta: Scalar
-    g2_alpha: object
+    g2_alpha_over_beta: object  # g2^(alpha/beta)
 
 
 @dataclass(frozen=True)
@@ -231,9 +241,10 @@ def setup(profile_or_ctx, rng=None):
     rng = rng or _SYSTEM_RNG
     alpha = ctx.random_scalar(rng)
     beta = ctx.random_scalar(rng)
-    h = ctx.g1 ** beta
+    h, g2_alpha_over_beta = ctx.pow_many([(ctx.g1, beta),
+                                         (ctx.g2, alpha * beta.inverse())])
     t = ctx.pairing_of_generators() ** alpha
-    return PublicParams(ctx, h, t), MasterKey(beta, ctx.g2 ** alpha)
+    return PublicParams(ctx, h, t), MasterKey(beta, g2_alpha_over_beta)
 
 
 def _attr_hash(ctx, attr):
@@ -248,16 +259,14 @@ def keygen(pp, mk, attributes, rng=None):
     if not attrs:
         raise ValueError("attribute set must be non-empty")
     r_enc = ctx.random_scalar(rng)
-    beta_inv = mk.beta.inverse()
-    g2_renc = ctx.g2 ** r_enc
-    d_enc = (mk.g2_alpha * g2_renc) ** beta_inv
-    comps = {}
-    for attr in sorted(attrs):
+    order = sorted(attrs)
+    jobs = [(ctx.g2, r_enc * mk.beta.inverse())]
+    for attr in order:
         r_j = ctx.random_scalar(rng)
-        d_j = g2_renc * ctx.g2 ** (_attr_hash(ctx, attr) * r_j)
-        d_j_prime = ctx.g2 ** r_j
-        comps[attr] = (d_j, d_j_prime)
-    return AttributeKey(d_enc, attrs, comps)
+        jobs += [(ctx.g2, r_enc + _attr_hash(ctx, attr) * r_j), (ctx.g2, r_j)]
+    g2_renc_beta, *powers = ctx.pow_many(jobs)
+    comps = dict(zip(order, zip(powers[::2], powers[1::2])))
+    return AttributeKey(mk.g2_alpha_over_beta * g2_renc_beta, attrs, comps)
 
 
 def signing_keygen(pp, mk, rng=None):
@@ -265,10 +274,10 @@ def signing_keygen(pp, mk, rng=None):
     ctx = pp.ctx
     rng = rng or _SYSTEM_RNG
     r_sign = ctx.random_scalar(rng)
-    beta_inv = mk.beta.inverse()
-    key_ver = ctx.g2 ** r_sign
-    key_sign = (mk.g2_alpha * key_ver) ** beta_inv
-    return SigningKey(key_sign), VerificationKey(key_ver)
+    key_ver, g2_r_beta = ctx.pow_many([(ctx.g2, r_sign),
+                                      (ctx.g2, r_sign * mk.beta.inverse())])
+    return (SigningKey(mk.g2_alpha_over_beta * g2_r_beta),
+            VerificationKey(key_ver))
 
 
 def signcrypt(pp, signing_key, msg, tree, rng=None, transcript=None):
@@ -286,21 +295,22 @@ def signcrypt(pp, signing_key, msg, tree, rng=None, transcript=None):
 
     s = ctx.random_scalar(rng)
     shares = share_secret(tree, s, rng)
+    zeta = ctx.random_scalar(rng)
     t_s = pp.t ** s
     c_tilde = _xor(key_sym, ctx.hash_to_bits(t_s.to_bytes()))
-    c = pp.h ** s
-    leaf_c = {}
-    for idx in tree.leaves():
-        attr = tree.nodes[idx].attribute
+    g1 = ctx.g1
+    leaves = tree.leaves()
+    jobs = [(pp.h, s), (g1, s), (ctx.g2, zeta)]
+    for idx in leaves:
         q0 = shares[idx]
-        leaf_c[idx] = (ctx.g1 ** q0, ctx.g1 ** (_attr_hash(ctx, attr) * q0))
-    w = ctx.g1 ** s
+        jobs += [(g1, q0), (g1, _attr_hash(ctx, tree.nodes[idx].attribute) * q0)]
+    c, w, g2_zeta, *powers = ctx.pow_many(jobs)
+    leaf_c = dict(zip(leaves, zip(powers[::2], powers[1::2])))
 
     st = SignedCiphertext(tree, c_tilde, c, leaf_c, w, None, None)
-    zeta = ctx.random_scalar(rng)
     delta = pp.h_g2() ** (s * zeta)  # = e(C, g2)^zeta
     pi = _pi(ctx, msg, delta, st, ct_msg)
-    psi = (ctx.g2 ** zeta) * (signing_key.key_sign ** pi)
+    psi = g2_zeta * (signing_key.key_sign ** pi)
     st = replace(st, pi=pi, psi=psi)
     if transcript is not None:
         transcript.update(s=s, zeta=zeta, delta=delta, t_s=t_s,
@@ -570,3 +580,25 @@ def public_params_from_json(obj):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DecodeError(f"malformed public parameters: {exc}") from None
+
+
+def master_key_to_json(pp, mk):
+    return {"beta": mk.beta.to_bytes(pp.ctx.params.r_bytes).hex(),
+            "g2_alpha_over_beta": mk.g2_alpha_over_beta.to_bytes().hex()}
+
+
+def master_key_from_json(pp, obj):
+    """Decode a master key; DecodeError unless it is pp's: 1 <= beta < p,
+    g1^beta = h and e(h, g2^(alpha/beta)) = t."""
+    ctx = pp.ctx
+    try:
+        beta = int.from_bytes(hex_bytes(obj["beta"], ctx.params.r_bytes), "big")
+        point = ctx.deserialize_element(hex_bytes(obj["g2_alpha_over_beta"]), "s2")
+    except (KeyError, TypeError) as exc:
+        raise DecodeError(f"malformed master key: {exc}") from None
+    if not 0 < beta < ctx.p:
+        raise DecodeError("beta out of range")
+    mk = MasterKey(ctx.scalar(beta), point)
+    if ctx.g1 ** mk.beta != pp.h or ctx.pair(pp.h, point) != pp.t:
+        raise DecodeError("master key does not match the public parameters")
+    return mk

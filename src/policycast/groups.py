@@ -31,11 +31,13 @@ point in absc) keeps its Miller lines, computed by its first pairing;
 pairings against it only evaluate them (pairing.fixed_miller).  Any
 other element pairs through the full loop (pairing.tate_miller), which
 walks it too: the s1 argument is always the evaluation point.  A fixed
-element also keeps a window table, built by its first ** and used by
-every later one (pairing.pt_mul_fixed): g1, g2, absc's h and a
-publisher's key_sign are raised that way.  A fixed element that is
-never raised, such as a device key, builds no table; any other base
-goes through pairing.pt_mul.  GroupContext(profile) returns the
+element also keeps a window table, built by its first power and used by
+every later one: g1, g2, absc's h and a publisher's key_sign are raised
+that way.  GroupContext.pow_many raises several fixed bases as one
+pairing.pt_mul_fixed batch, which shares its inversions, and ** on a
+fixed base is a batch of one.  A fixed element that is never raised,
+such as a device key, builds no table; any other base goes through
+pairing.pt_mul.  GroupContext(profile) returns the
 process's one context for the profile, so the generators' tables, g2's
 lines and the cached e(g1, g2) are built once per process.
 
@@ -66,7 +68,7 @@ a walk that refuses it unless it has order p (pairing.miller_lines).
 The strict path stays for the points that are raised or never walked:
 the public parameters h and t (absc.public_params_from_json), a
 publisher's key pair (absc.PublicParams.publisher_keys) and the
-authority's g2^alpha (nodes.TrustedAuthority.from_json).  Identity
+authority's g2^(alpha/beta) (absc.master_key_from_json).  Identity
 elements never occur in honest protocol data and are not serializable.
 """
 
@@ -179,21 +181,13 @@ class GroupElement:
         return GroupElement(self.ctx, self.group, _pr.pt_add(self.point, other.point, q))
 
     def __pow__(self, k):
-        if isinstance(k, Scalar):
-            if k.modulus != self.ctx.p:
-                raise GroupMismatchError("scalar from a different field")
-            k = k.value
-        elif not isinstance(k, int):
-            raise GroupMismatchError(f"exponent must be int or Scalar, got {type(k).__name__}")
-        k %= self.ctx.p
+        if self.table is not None and self.group not in _FQ2_GROUPS:
+            return self.ctx.pow_many([(self, k)])[0]
+        k = self.ctx._exponent(k)
         q = self.ctx.params.q
         if self.group in _FQ2_GROUPS:
             return GroupElement(self.ctx, self.group, _pr.fq2_exp(self.point, k, q))
-        if self.table is None or self.point is None:
-            return GroupElement(self.ctx, self.group, _pr.pt_mul(self.point, k, q))
-        if not self.table:  # first power; a racing thread builds the same table
-            self.table[:] = _pr.fixed_base_table(self.point, self.ctx.params)
-        return GroupElement(self.ctx, self.group, _pr.pt_mul_fixed(self.table, k, q))
+        return GroupElement(self.ctx, self.group, _pr.pt_mul(self.point, k, q))
 
     def inverse(self):
         q = self.ctx.params.q
@@ -208,8 +202,8 @@ class GroupElement:
 
         Pairings against the returned copy walk its Miller lines once,
         on first use, and keep them on it (GroupContext.miller); its
-        first ** builds its window table (pairing.fixed_base_table) and
-        keeps that too.
+        first power, by ** or GroupContext.pow_many, builds its window
+        table (pairing.fixed_base_table) and keeps that too.
         """
         if self.lines is not None:
             return self
@@ -273,6 +267,42 @@ class GroupContext:
         rng = rng or _SYSTEM_RNG
         lo = 1 if nonzero else 0
         return Scalar(rng.randrange(lo, self.p), self.p)
+
+    def _exponent(self, k):
+        """k, an int or a Scalar of this field, reduced mod p."""
+        if isinstance(k, Scalar):
+            if k.modulus != self.p:
+                raise GroupMismatchError("scalar from a different field")
+            k = k.value
+        elif not isinstance(k, int):
+            raise GroupMismatchError(f"exponent must be int or Scalar, got {type(k).__name__}")
+        return k % self.p
+
+    # -- powers -------------------------------------------------------------
+
+    def pow_many(self, pairs):
+        """[base ** k for (base, k) in a list of pairs], for fixed point bases.
+
+        Every power reads its base's window table, built by the base's
+        first power, and all of them are one pairing.pt_mul_fixed batch,
+        so the batch shares its inversions.  An identity base gives the
+        identity.
+        """
+        jobs = []
+        for base, k in pairs:
+            self._want(base)
+            if base.table is None or base.group in _FQ2_GROUPS:
+                raise ValueError("pow_many takes fixed points as bases")
+            k = self._exponent(k)
+            if base.point is None:
+                continue
+            if not base.table:  # first power; a racing thread builds the same table
+                base.table[:] = _pr.fixed_base_table(base.point, self.params)
+            jobs.append((base.table, k))
+        points = iter(_pr.pt_mul_fixed(jobs, self.params.q))
+        return [GroupElement(self, base.group,
+                             None if base.point is None else next(points))
+                for base, _ in pairs]
 
     # -- hashing ------------------------------------------------------------
 

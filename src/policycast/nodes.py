@@ -823,8 +823,7 @@ class TrustedAuthority:
             "profile": self.ctx.profile.value,
             "slot_seconds": self.slot_seconds,
             "pk": absc.public_params_to_json(self.pp),
-            "mk": {"beta": str(self.mk.beta.value),
-                   "g2_alpha": self.mk.g2_alpha.to_bytes().hex()},
+            "mk": absc.master_key_to_json(self.pp, self.mk),
             "directory": self.directory,
             "publishers": self.publishers,
             "validators": self.validators,
@@ -832,13 +831,13 @@ class TrustedAuthority:
 
     @classmethod
     def from_json(cls, obj, rng=None):
+        """Load state_to_json's form; DecodeError if the master key is not
+        the public parameters' (absc.master_key_from_json)."""
         ta = cls.__new__(cls)
         ta.rng = rng or _SYSTEM_RNG
         ta.pp = absc.public_params_from_json(obj["pk"])
         ta.ctx = ta.pp.ctx
-        ta.mk = absc.MasterKey(
-            ta.ctx.scalar(int(obj["mk"]["beta"])),
-            ta.ctx.deserialize_element(bytes.fromhex(obj["mk"]["g2_alpha"]), "s2"))
+        ta.mk = absc.master_key_from_json(ta.pp, obj["mk"])
         ta.slot_seconds = obj["slot_seconds"]
         ta.directory = dict(obj["directory"])
         ta.publishers = dict(obj["publishers"])

@@ -50,10 +50,14 @@ w-bit window of r (32 rows of 31 points at w = 5).  A row is built in
 Jacobian coordinates by adding its base, together with the next row's
 base (one doubling of 2^(w-1) times this one), and the row is made
 affine with one Montgomery batch inversion, so only one row is ever
-held in Jacobian form.  pt_mul_fixed then reads one entry per
-nonzero digit of k: about ceil(log2(r)/w) mixed additions and no
-doublings.  pt_mul, the double-and-add for any other base, and the
-tables share one Jacobian-plus-affine mixed addition, _jac_add_affine.
+held in Jacobian form.  pt_mul_fixed takes a batch of (table, k) jobs,
+reads one entry per nonzero digit of each k, and adds every job's
+entries as one tree of affine chords (Montgomery, Math. Comp. 1987):
+each round shares one inversion across all the batch's additions, so
+a batch of any size takes about log2(rows) inversions, 5 at 32 rows,
+and no doublings.  A single power is a batch of one.  pt_mul, the
+double-and-add for any other base, and the tables share one
+Jacobian-plus-affine mixed addition, _jac_add_affine.
 
 Walked and evaluated points.  Only the walked point must have order r:
 the loop relies on rP = O to end in the vertical chord, and both walks,
@@ -320,22 +324,58 @@ def fixed_base_table(P, params):
     return table
 
 
-def pt_mul_fixed(table, k, q):
-    """k*P from P's fixed_base_table, for 0 <= k < 2^(w * rows).
+def pt_mul_fixed(jobs, q):
+    """k*P for every (fixed_base_table of P, k) job, 0 <= k < 2^(w * rows).
 
-    One mixed addition per nonzero w-bit digit of k, no doublings.
+    Each job contributes one table entry per nonzero w-bit digit of k,
+    and _tree_sums adds all the lists at once: no doublings, and one
+    inversion per round of the tree, shared by every job.
     """
     mask = (1 << FIXED_WINDOW) - 1
-    X, Y, Z = 0, 1, 0
-    for row in table:
-        d = k & mask
-        if d:
-            x, y = row[d - 1]
-            X, Y, Z = _jac_add_affine(X, Y, Z, x, y, q)
-        k >>= FIXED_WINDOW
-    if k:
-        raise ValueError("scalar wider than the table")
-    return _jac_to_affine(X, Y, Z, q)
+    lists = []
+    for table, k in jobs:
+        terms = []
+        for row in table:
+            d = k & mask
+            if d:
+                terms.append(row[d - 1])
+            k >>= FIXED_WINDOW
+        if k:
+            raise ValueError("scalar wider than the table")
+        lists.append(terms)
+    return _tree_sums(lists, q)
+
+
+def _tree_sums(lists, q):
+    """The sum of each list of affine points, None for an empty sum.
+
+    Each round adds neighbours in every list with the affine chord, all
+    of the round's chords sharing one _batch_inv (Montgomery's trick),
+    so the longest list, of n points, sets the inversions: ceil(log2(n)),
+    however many lists there are.  A pair with equal x, a doubling or a
+    cancellation, goes through pt_add, and a None it returns is dropped.
+    """
+    lists = [list(terms) for terms in lists]
+    while any(len(terms) > 1 for terms in lists):
+        chords = []  # (list, P, Q) pairs with distinct x
+        for n, terms in enumerate(lists):
+            if len(terms) < 2:
+                continue
+            pairs = terms[:len(terms) & ~1]
+            del terms[:len(pairs)]  # an odd one out waits for the next round
+            for P, Q in zip(pairs[::2], pairs[1::2]):
+                if P[0] == Q[0]:
+                    S = pt_add(P, Q, q)
+                    if S is not None:
+                        terms.append(S)
+                else:
+                    chords.append((n, P, Q))
+        inverses = _batch_inv([Q[0] - P[0] for _, P, Q in chords], q)
+        for (n, (x1, y1), (x2, y2)), inv in zip(chords, inverses):
+            lam = (y2 - y1) * inv % q
+            x3 = (lam * lam - x1 - x2) % q
+            lists[n].append((x3, (lam * (x1 - x3) - y1) % q))
+    return [terms[0] if terms else None for terms in lists]
 
 
 def pt_decompress(x, y_is_odd, q):
@@ -492,11 +532,33 @@ def fixed_miller(pairs, params):
 
 
 def tate_final_exp(f, params):
-    """f^((q^2 - 1)/r) computed as (conj(f)/f)^c with c = (q + 1)/r."""
+    """f^((q^2 - 1)/r) computed as g^c, g = conj(f)/f and c = (q + 1)/r.
+
+    g has norm 1, so g^-1 = conj(g) and V_k = g^k + g^-k = 2*Re(g^k)
+    is a Lucas sequence over F_q: V_2k = V_k^2 - 2 and V_2k+1 =
+    V_k*V_k+1 - V_1.  For a long c (c >= 2^16, SYMMETRIC_512) a ladder
+    over (V_k, V_k+1) takes one F_q square and one product per bit of c,
+    against an F_q2 square and product, and Im(g^c) comes back from
+    Re(g^c+1) = a*Re(g^c) - b*Im(g^c) with one inversion (Scott &
+    Barreto, CRYPTO 2004).  A short c, or g with b = 0, takes
+    square-and-multiply.
+    """
     q = params.q
     a, b = f
     n = pow(a * a + b * b, -1, q)
     conj = (a, -b % q)
     finv = (a * n % q, -b * n % q)
     g = fq2_mul(conj, finv, q)
-    return fq2_exp(g, params.c, q)
+    c = params.c
+    a, b = g
+    if c >> 16 == 0 or b == 0:
+        return fq2_exp(g, c, q)
+    v1 = 2 * a % q
+    v, v_next = v1, (v1 * v1 - 2) % q  # V_1, V_2
+    for bit in bin(c)[3:]:
+        if bit == "1":
+            v, v_next = (v * v_next - v1) % q, (v_next * v_next - 2) % q
+        else:
+            v, v_next = (v * v - 2) % q, (v * v_next - v1) % q
+    # g^c = x + y*i with 2x = V_c and 2*(a*x - b*y) = V_c+1
+    return v * ((q + 1) // 2) % q, (a * v - v_next) * pow(2 * b, -1, q) % q

@@ -9,9 +9,12 @@ factored final exponentiation), so agreement is meaningful evidence.
 tate_pairing is the exception: the engine's own loop, kept here as the
 reference for the stored-line and argument-swapped paths.  So is
 signcrypt_reference, which composes it with pt_mul: the textbook paths
-that signcrypt's window tables and cached e(h, g2) replace, and
-decrypt_node, designcrypt's tree evaluation with its own final
-exponentiation.  tate_miller_unchecked is the engine's Miller loop as it
+that signcrypt's window tables and cached e(h, g2) replace, with
+keygen_reference and signing_keygen_reference, key generation by pt_mul
+with the formula (g2^alpha * g2^r)^(1/beta); tate_final_exp_reference,
+the square-and-multiply final exponentiation that the Lucas ladder
+replaces; and decrypt_node, designcrypt's tree evaluation with its own
+final exponentiation.  tate_miller_unchecked is the engine's Miller loop as it
 was before the loop learned to check its walked point, and
 tree_to_json / tree_from_json a nested JSON form of access trees that
 the tests round-trip.
@@ -157,6 +160,17 @@ def tate_pairing(P, Q, params):
     return pr.tate_final_exp(pr.tate_miller(P, Q, params), params)
 
 
+def tate_final_exp_reference(f, params):
+    """pairing.tate_final_exp by square-and-multiply in F_q2: (conj(f)/f)^c."""
+    q = params.q
+    a, b = f
+    n = pow(a * a + b * b, -1, q)
+    conj = (a, -b % q)
+    finv = (a * n % q, -b * n % q)
+    g = pr.fq2_mul(conj, finv, q)
+    return pr.fq2_exp(g, params.c, q)
+
+
 def tate_miller_unchecked(P, Q, params):
     """pairing.tate_miller without its check that rP = O.
 
@@ -258,6 +272,49 @@ def signcrypt_reference(pp, signing_key, msg, policy, rng):
     psi = pr.pt_add(pr.pt_mul(g2, zeta.value, q),
                     pr.pt_mul(signing_key.key_sign.point, pi.value, q), q)
     return replace(st, pi=pi, psi=GroupElement(ctx, ctx.key_group, psi)), ct_msg
+
+
+def _g2_alpha(mk, q):
+    """The master key's g2^alpha, by pt_mul from g2^(alpha/beta)."""
+    return pr.pt_mul(mk.g2_alpha_over_beta.point, mk.beta.value, q)
+
+
+def keygen_reference(pp, mk, attributes, rng):
+    """absc.keygen as d_enc = (g2^alpha * g2^r_enc)^(1/beta) and
+    d_j = g2^r_enc * g2^(H2(j) * r_j), every power a pt_mul on the raw
+    point; the same rng draws in the same order, so the key must match."""
+    ctx = pp.ctx
+    q = ctx.params.q
+    g2 = ctx.g2.point
+
+    def el(P):
+        return GroupElement(ctx, ctx.key_group, P)
+
+    attrs = frozenset(normalize_attribute(a) for a in attributes)
+    r_enc = ctx.random_scalar(rng)
+    g2_renc = pr.pt_mul(g2, r_enc.value, q)
+    d_enc = pr.pt_mul(pr.pt_add(_g2_alpha(mk, q), g2_renc, q),
+                      mk.beta.inverse().value, q)
+    comps = {}
+    for attr in sorted(attrs):
+        r_j = ctx.random_scalar(rng)
+        h_r = (absc._attr_hash(ctx, attr) * r_j).value
+        comps[attr] = (el(pr.pt_add(g2_renc, pr.pt_mul(g2, h_r, q), q)),
+                       el(pr.pt_mul(g2, r_j.value, q)))
+    return absc.AttributeKey(el(d_enc), attrs, comps)
+
+
+def signing_keygen_reference(pp, mk, rng):
+    """absc.signing_keygen as key_sign = (g2^alpha * key_ver)^(1/beta)
+    by pt_mul, with the same rng draws."""
+    ctx = pp.ctx
+    q = ctx.params.q
+    r_sign = ctx.random_scalar(rng)
+    key_ver = pr.pt_mul(ctx.g2.point, r_sign.value, q)
+    key_sign = pr.pt_mul(pr.pt_add(_g2_alpha(mk, q), key_ver, q),
+                         mk.beta.inverse().value, q)
+    return (absc.SigningKey(GroupElement(ctx, ctx.key_group, key_sign)),
+            absc.VerificationKey(GroupElement(ctx, ctx.key_group, key_ver)))
 
 
 def decrypt_node(pp, st, key, node=None):

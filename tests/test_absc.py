@@ -32,8 +32,9 @@ def test_setup_identities(scheme):
     pp, mk = scheme
     ctx = pp.ctx
     t0 = ctx.pairing_of_generators()
-    # t = e(g1, g2)^alpha and h = g1^beta
-    assert ctx.pair(ctx.g1, mk.g2_alpha) == pp.t
+    # t = e(g1, g2)^alpha = e(h, g2^(alpha/beta)) and h = g1^beta
+    assert ctx.pair(ctx.g1, mk.g2_alpha_over_beta ** mk.beta) == pp.t
+    assert ctx.pair(pp.h, mk.g2_alpha_over_beta) == pp.t
     assert ctx.pair(pp.h, ctx.g2) == t0 ** mk.beta
 
 
@@ -276,6 +277,21 @@ def test_key_lines_are_built_on_first_use_only(scheme, monkeypatch):
     builds.clear()
     assert absc.designcrypt(pp, st, ct, loaded, vk) == b"m"
     assert builds == []
+
+
+@pytest.mark.parametrize("seed", [3, 5, 7])
+def test_keygen_matches_raw_point_reference(scheme, seed):
+    # the batched fixed-base powers and g2^(alpha/beta) give the keys of
+    # the formula (g2^alpha * g2^r)^(1/beta), byte for byte
+    pp, mk = scheme
+    attrs = ["cam", "lock", "hub", "door"][:seed - 2]
+    got = absc.keygen(pp, mk, attrs, random.Random(seed))
+    want = oracles.keygen_reference(pp, mk, attrs, random.Random(seed))
+    assert absc.attribute_key_to_json(got) == absc.attribute_key_to_json(want)
+    got = absc.signing_keygen(pp, mk, random.Random(seed))
+    want = oracles.signing_keygen_reference(pp, mk, random.Random(seed))
+    assert ([k.to_bytes() for k in (got[0].key_sign, got[1].key_ver)]
+            == [k.to_bytes() for k in (want[0].key_sign, want[1].key_ver)])
 
 
 @pytest.mark.parametrize("seed", [3, 5, 7])

@@ -48,6 +48,19 @@ def test_init_and_register_artifacts(authority_dir):
     assert sd["attributes"] == ["alpha", "beta"]
 
 
+def test_register_refuses_a_state_file_whose_beta_is_zero(authority_dir,
+                                                          tmp_path, capsys):
+    # a zero beta was loaded and then raised ZeroDivisionError in keygen
+    state = json.loads((authority_dir / "ta_state.json").read_text())
+    width = GroupContext(state["profile"]).params.r_bytes
+    state["mk"]["beta"] = "00" * width
+    (tmp_path / "ta_state.json").write_text(json.dumps(state))
+    assert cli.main(["ta", "register", "--dir", str(tmp_path), "--role", "sd",
+                     "--identity", "sensor-19", "--attrs", "alpha"]) == 2
+    assert "beta out of range" in capsys.readouterr().err
+    assert not (tmp_path / "public.json").exists()
+
+
 def test_files_with_a_quorum_key_still_load(authority_dir, tmp_path):
     # files written while the authority still stored a quorum carry the key
     for name in ("ta_state.json", "public.json"):

@@ -209,7 +209,64 @@ def test_fixed_base_table_matches_pt_mul(ctx):
     assert plain.table is None  # only fixed elements build tables
     assert GroupContext(ctx.profile.value).g1.table is ctx.g1.table  # one per profile
     with pytest.raises(ValueError):
-        pr.pt_mul_fixed(table, 1 << (w * len(table)), ps.q)
+        pr.pt_mul_fixed([(table, 1 << (w * len(table)))], ps.q)
+
+
+def test_fixed_base_batch_matches_pt_mul(ctx):
+    ps, p, q = ctx.params, ctx.p, ctx.params.q
+    rng = random.Random(43)
+    plain = (ctx.g1 ** ctx.random_scalar(rng)).fixed()
+    bases = [ctx.g1, ctx.g2, plain]
+    ks = [0, 1, p - 1, p] + [rng.randrange(p) for _ in range(19)]
+    jobs = [(rng.choice(bases), k) for k in ks]
+    want = [pr.pt_mul(base.point, k % p, q) for base, k in jobs]
+    assert [el.point for el in ctx.pow_many(jobs)] == want
+    for base in bases:  # the tables the batch built or reused
+        assert base.table
+    raw = [(base.table, k % p) for base, k in jobs]
+    assert pr.pt_mul_fixed(raw, q) == want
+    assert pr.pt_mul_fixed([], q) == []
+    assert pr.pt_mul_fixed([(ctx.g1.table, p)], q) == [None]  # k = r
+    with pytest.raises(ValueError):  # one wide scalar fails the batch
+        pr.pt_mul_fixed(raw + [(ctx.g1.table, 1 << (pr.FIXED_WINDOW
+                                                    * len(ctx.g1.table)))], q)
+
+
+def test_fixed_base_tree_edge_cases(ctx):
+    q = ctx.params.q
+    P = ctx.g1.point
+    Q = pr.pt_mul(P, 7, q)
+    minus_p = pr.pt_neg(P, q)
+    sums = pr._tree_sums([[P, P], [P, minus_p], [P, minus_p, Q], [], [Q],
+                          [P, Q, P, Q]], q)
+    assert sums == [pr.pt_mul(P, 2, q), None, Q, None, Q, pr.pt_mul(P, 16, q)]
+
+
+def test_pow_many_keeps_pow_results(ctx):
+    rng = random.Random(47)
+    k = ctx.random_scalar(rng)
+    ident = ctx.identity("s1").fixed()
+    got = ctx.pow_many([(ctx.g1, k), (ident, k), (ctx.g2, 0), (ctx.g1, k.value)])
+    assert got[0] == ctx.g1 ** k == got[3]
+    assert got[1].is_identity and got[2].is_identity
+    assert got[2].group == ctx.key_group
+    assert (ident ** k).is_identity and (ctx.g1 ** 0).is_identity
+    plain = ctx.g1 ** k  # not fixed
+    with pytest.raises(ValueError):
+        ctx.pow_many([(plain, k)])
+    with pytest.raises(GroupMismatchError):
+        ctx.pow_many([(ctx.g1, Scalar(3, ctx.p + 2))])
+
+
+def test_final_exp_ladder_matches_square_and_multiply(ctx):
+    ps, q = ctx.params, ctx.params.q
+    rng = random.Random(53)
+    fs = [(rng.randrange(1, q), rng.randrange(1, q)) for _ in range(50)]
+    fs += [(rng.randrange(1, q), 0), (0, rng.randrange(1, q))]  # g = 1, g = -1
+    for f in fs:
+        assert pr.tate_final_exp(f, ps) == oracles.tate_final_exp_reference(f, ps)
+    assert pr.tate_final_exp(fs[-2], ps) == (1, 0)
+    assert pr.tate_final_exp(fs[-1], ps) == pr.fq2_exp((q - 1, 0), ps.c, q)
 
 
 def test_inverses_match_oracle(ctx):

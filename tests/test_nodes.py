@@ -1183,6 +1183,32 @@ def test_authority_state_round_trip(authority):
     assert absc.designcrypt(ta.pp, st, ct, key, vk) == b"hello"
 
 
+def test_authority_state_refuses_a_master_key_not_its_own(authority):
+    # beta and g2^(alpha/beta) must be canonical hex, 1 <= beta < p, and
+    # match the public key: g1^beta = h and e(h, g2^(alpha/beta)) = t
+    ta, _ = authority
+    state = ta.state_to_json()
+    mk = state["mk"]
+    width = ta.ctx.params.r_bytes
+    beta = ta.mk.beta.value
+    other = TrustedAuthority("ASYMMETRIC_159", random.Random(8)).state_to_json()
+    g2_alpha = ta.mk.g2_alpha_over_beta ** ta.mk.beta
+    bad = [dict(mk, beta=v.to_bytes(width, "big").hex())
+           for v in (12345, 0, ta.ctx.p, beta + 1)]
+    bad += [dict(mk, beta=mk["beta"].upper()),
+            dict(mk, beta=" " + mk["beta"]),
+            dict(mk, g2_alpha_over_beta=mk["g2_alpha_over_beta"].upper()),
+            dict(mk, g2_alpha_over_beta=mk["g2_alpha_over_beta"] + " "),
+            dict(mk, g2_alpha_over_beta=other["mk"]["g2_alpha_over_beta"]),
+            dict(mk, g2_alpha_over_beta=g2_alpha.to_bytes().hex()),
+            other["mk"],
+            {"beta": str(beta), "g2_alpha": g2_alpha.to_bytes().hex()}]  # old form
+    for obj in bad:
+        with pytest.raises(DecodeError):
+            TrustedAuthority.from_json(dict(state, mk=obj))
+    assert TrustedAuthority.from_json(state).mk == ta.mk
+
+
 def test_register_validates_inputs(authority):
     ta, _ = authority
     with pytest.raises(ValueError):

@@ -8,8 +8,12 @@ Ops, on each curve profile:
     final_exp         one final exponentiation
     pt_mul_r          pt_mul by the group order (the decode subgroup check)
     pt_mul            pt_mul of an s1 point by a random scalar
-    pt_mul_fixed      the same product from the point's warm window table
+    pt_mul_fixed      n products from the point's warm window table, as one
+                      batch (n = 1, 8, 19), or n single products where
+                      pairing.pt_mul_fixed takes one (table, k, q)
     table_build       the window table of one fixed point
+    setup             absc.setup
+    keygen            absc.keygen of an n-attribute key
     decode_s1         strict decode of one s1 point
     decode_eval       evaluation-point decode of one s1 point (on-curve only)
     payload_decode    payload_from_bytes of an AND-of-n payload, points included
@@ -28,6 +32,7 @@ Usage, from the root of a checkout:
 The run is merged into OUT.json under LABEL (say, "parent" or "change").
 """
 
+import inspect
 import json
 import os
 import platform
@@ -42,6 +47,7 @@ from policycast.groups import GroupContext
 
 PROFILES = ("ASYMMETRIC_159", "SYMMETRIC_512")
 COUNTS = (2, 8, 19)
+BATCHES = (1, 8, 19)
 REPEATS = 15
 SEED = 5
 
@@ -87,15 +93,26 @@ def bench_profile(profile):
         ops.append(("decode_eval",
                     lambda _: ctx.deserialize_evaluation_point(a_bytes)))
     if hasattr(pr, "fixed_base_table"):
-        table = pr.fixed_base_table(a.point, ps)
-        ops += [("pt_mul_fixed", lambda _: pr.pt_mul_fixed(table, k, ps.q)),
-                ("table_build", lambda _: pr.fixed_base_table(a.point, ps))]
+        ops.append(("table_build", lambda _: pr.fixed_base_table(a.point, ps)))
+    ops.append(("setup", lambda _: absc.setup(ctx, rng)))
     rows = [_row(profile, op, 1, _time(fn, REPEATS)) for op, fn in ops]
+    if hasattr(pr, "fixed_base_table"):
+        table = pr.fixed_base_table(a.point, ps)
+        batched = len(inspect.signature(pr.pt_mul_fixed).parameters) == 2
+        for n in BATCHES:
+            jobs = [(table, ctx.random_scalar(rng).value) for _ in range(n)]
+            if batched:
+                fn = lambda _, jobs=jobs: pr.pt_mul_fixed(jobs, ps.q)
+            else:
+                fn = lambda _, jobs=jobs: [pr.pt_mul_fixed(t, k, ps.q) for t, k in jobs]
+            rows.append(_row(profile, "pt_mul_fixed", n, _time(fn, REPEATS)))
 
     pp, mk = absc.setup(ctx, rng)
     sk, vk = absc.signing_keygen(pp, mk, rng)
     for n in COUNTS:
         attrs = [f"attr{i:02d}" for i in range(n)]
+        rows.append(_row(profile, "keygen", n, _time(
+            lambda _: absc.keygen(pp, mk, attrs, rng), REPEATS)))
         key = absc.keygen(pp, mk, attrs, rng)
         st, ct = absc.signcrypt(pp, sk, b"x" * 1024, " and ".join(attrs), rng)
         key_json = absc.attribute_key_to_json(key)
