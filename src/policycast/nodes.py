@@ -27,10 +27,11 @@ payload as hex: the body of GET /chain/block/N and of POST /push alike.
 Endpoints:  GET /chain/head, GET /chain/block/N (validator, edge),
 POST /records (validator), POST /push (device).
 
-GET /chain/head?after=N is a long-poll: it answers once the tip's index
-is past N, or after LONG_POLL_SECONDS with the head as it stands.  The
-edge follows the validator, and a pulling device follows the edge, by
-asking after the last index it holds.
+GET /chain/block/N is a long-poll: a node that does not hold block N yet
+answers once it does, or with 404 after LONG_POLL_SECONDS.  GET
+/chain/head answers at once.  The edge follows the validator, and a
+pulling device follows the edge, with one request per block: each asks
+for the block after the last one it holds.
 
 Loops wake on events, not on a timer.  Each node has one wake event: a
 validator's is set when a record is queued and when its ManualClock
@@ -62,7 +63,7 @@ import time
 from collections import deque
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from types import SimpleNamespace
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import urlsplit
 from weakref import WeakSet
 
 from . import absc, ledger
@@ -109,7 +110,7 @@ class ManualClock:
 # ---------------------------------------------------------------------------
 # HTTP plumbing
 
-# GET /chain/head?after=N waits at most this long for the tip to pass N.
+# GET /chain/block/N waits at most this long for block N to arrive.
 LONG_POLL_SECONDS = 1.0
 
 
@@ -451,36 +452,28 @@ _BLOCK_RE = re.compile(r"^/chain/block/(\d+)$")
 class _ChainReader:
     """GET routes shared by validator and edge nodes.
 
-    A long-poll waits on the node's _changed condition, which the node
-    notifies when its chain grows and when it stops.
+    GET /chain/block/N waits on the node's _changed condition, which the
+    node notifies when its chain grows and when it stops.
     """
 
     def _chain_routes(self, method, path):
-        if method != "GET":
-            return None
-        url = urlsplit(path)
-        if url.path == "/chain/head":
-            after = parse_qs(url.query).get("after")
-            if after is not None:
-                try:
-                    after = int(after[0])
-                except ValueError:
-                    return 400, {"error": "bad-after"}
-                with self._changed:
-                    self._changed.wait_for(
-                        lambda: len(self.chain) > after + 1 or self._stop.is_set(),
-                        LONG_POLL_SECONDS)
+        """Answer GET /chain/head or GET /chain/block/N; 404 otherwise."""
+        path = urlsplit(path).path
+        m = _BLOCK_RE.match(path)
+        if method == "GET" and path == "/chain/head":
             tip = self.chain[-1]
             return 200, {"index": tip.header.index,
                          "hash": ledger.block_hash(tip).hex(),
                          "header": ledger.header_to_json(tip)}
-        m = _BLOCK_RE.match(url.path)
-        if m:
+        if method == "GET" and m:
             idx = int(m.group(1))
-            if idx >= len(self.chain):
-                return 404, {"error": "not-found"}
-            return 200, ledger.block_to_json(self.chain[idx])
-        return None
+            with self._changed:
+                self._changed.wait_for(
+                    lambda: len(self.chain) > idx or self._stop.is_set(),
+                    LONG_POLL_SECONDS)
+            if idx < len(self.chain):
+                return 200, ledger.block_to_json(self.chain[idx])
+        return 404, {"error": "not-found"}
 
 
 class ValidatorNode(NodeService, _ChainReader):
@@ -503,24 +496,21 @@ class ValidatorNode(NodeService, _ChainReader):
             clock.watch(self._wake)  # a new slot may be ours to seal
 
     def handle(self, method, path, body):
-        routed = self._chain_routes(method, path)
-        if routed is not None:
-            return routed
-        if method == "POST" and urlsplit(path).path == "/records":
-            try:
-                record = ledger.record_from_json(self.ctx, body)
-                reason = ledger.validate_record(record, self.registry)
-            except DecodeError as exc:
-                reason = f"structure: {exc}"
-            if reason is not None:
-                self.event("record-rejected", reason=reason)
-                return 400, {"status": "rejected", "reason": reason}
-            with self._lock:
-                self.pending.append(record)
-            self.event("record-queued", pseudo_id=record.pseudo_id)
-            self._wake.set()
-            return 200, {"status": "accepted"}
-        return 404, {"error": "not-found"}
+        if method != "POST" or urlsplit(path).path != "/records":
+            return self._chain_routes(method, path)
+        try:
+            record = ledger.record_from_json(self.ctx, body)
+            reason = ledger.validate_record(record, self.registry)
+        except DecodeError as exc:
+            reason = f"structure: {exc}"
+        if reason is not None:
+            self.event("record-rejected", reason=reason)
+            return 400, {"status": "rejected", "reason": reason}
+        with self._lock:
+            self.pending.append(record)
+        self.event("record-queued", pseudo_id=record.pseudo_id)
+        self._wake.set()
+        return 200, {"status": "accepted"}
 
     def tick(self):
         now = self.clock()
@@ -573,47 +563,38 @@ class EdgeNode(NodeService, _ChainReader):
         self.chain = [ledger.genesis()]
 
     def handle(self, method, path, body):
-        routed = self._chain_routes(method, path)
-        if routed is not None:
-            return routed
-        return 404, {"error": "not-found"}
+        return self._chain_routes(method, path)
 
     def tick(self):
         return self.sync_once()
 
     def sync_once(self):
-        """Wait for blocks past the local tip, append and push them.
+        """Fetch the block after the local tip, a long-poll that the
+        validator answers once it holds that block; append and push it.
 
-        Returns whether any block was appended.
+        Returns whether a block was appended.
         """
-        synced = False
+        idx = len(self.chain)
         try:
-            resp = http_get(f"{self.upstream}/chain/head?after={len(self.chain) - 1}",
-                            conns=self._conns)
-            head = int(resp.json()["index"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return synced
-        while len(self.chain) <= head:
-            idx = len(self.chain)
-            try:
-                resp = http_get(f"{self.upstream}/chain/block/{idx}", conns=self._conns)
-                if resp.status_code != 200:
-                    return synced
-                block = ledger.block_from_json(self.ctx, resp.json())
-            except (OSError, DecodeError, ValueError):
-                if not self._stop.is_set():  # else stop() hung up mid-fetch
-                    self.event("sync-error", index=idx)
-                return synced
-            reason = ledger.append_block(self.chain, block, self.vset, self.registry)
-            if reason is not None:
-                # refuse the block and resync from the last verified index
-                self.event("sync-rejected", index=idx, reason=reason)
-                return synced
-            synced = True
-            self.event("block-synced", index=idx)
-            self._announce()
-            self._push(block)
-        return synced
+            resp = http_get(f"{self.upstream}/chain/block/{idx}", conns=self._conns)
+        except OSError:
+            return False
+        if resp.status_code != 200:
+            return False
+        try:
+            block = ledger.block_from_json(self.ctx, resp.json())
+        except ValueError:  # DecodeError too
+            self.event("sync-error", index=idx)
+            return False
+        reason = ledger.append_block(self.chain, block, self.vset, self.registry)
+        if reason is not None:
+            # refuse the block and ask for this index again
+            self.event("sync-rejected", index=idx, reason=reason)
+            return False
+        self.event("block-synced", index=idx)
+        self._announce()
+        self._push(block)
+        return True
 
     def _push(self, block):
         body = ledger.block_to_json(block)
@@ -658,29 +639,32 @@ class DeviceNode(NodeService):
         return self.pull  # a pushed device's server does all its work
 
     def tick(self):
-        """Pull the blocks past the last one seen; returns whether any came."""
+        """Pull the block after the last one seen, a long-poll that the
+        source answers once it holds that block; returns whether one came.
+
+        Only a 200 moves past the block.  A 200 whose body is not a block
+        object raises one bad-block alarm and counts as no progress, so a
+        source serving junk is asked at most once per poll_interval.
+        """
         if not self.pull or not self.source:
             return False
-        start = self._pull_next
+        idx = self._pull_next
         try:
-            resp = http_get(f"{self.source}/chain/head?after={start - 1}",
-                            conns=self._conns)
-            head = int(resp.json()["index"])
-        except (OSError, ValueError, KeyError, TypeError):
+            resp = http_get(f"{self.source}/chain/block/{idx}", conns=self._conns)
+        except OSError:
             return False
-        while self._pull_next <= head:
-            idx = self._pull_next
-            try:
-                obj = http_get(f"{self.source}/chain/block/{idx}",
-                               conns=self._conns).json()
-            except (OSError, ValueError):
-                break
-            if not isinstance(obj, dict):
-                self.event("integrity-alarm", index=idx, detail="bad-block")
-            elif isinstance(obj.get("record"), dict):
-                self.ingest(obj)
-            self._pull_next = idx + 1
-        return self._pull_next > start
+        if resp.status_code != 200:
+            return False
+        self._pull_next = idx + 1
+        try:
+            block = resp.json()
+        except ValueError:
+            block = None
+        if not isinstance(block, dict) or not isinstance(block.get("record"), dict):
+            self.event("integrity-alarm", index=idx, detail="bad-block")
+            return False
+        self.ingest(block)
+        return True
 
     def ingest(self, block):
         """Process one block in the canonical block JSON (pushed or pulled).
@@ -831,8 +815,17 @@ class TrustedAuthority:
 
     @classmethod
     def from_json(cls, obj, rng=None):
-        """Load state_to_json's form; DecodeError if the master key is not
-        the public parameters' (absc.master_key_from_json)."""
+        """Load state_to_json's form; DecodeError if a key is missing or
+        of the wrong type, or if the master key is not the public
+        parameters' (absc.master_key_from_json)."""
+        if not isinstance(obj, dict):
+            raise DecodeError("authority state is not an object")
+        for key, kind in (("pk", dict), ("mk", dict), ("slot_seconds", int),
+                          ("directory", dict), ("publishers", dict),
+                          ("validators", list)):
+            if not isinstance(obj.get(key), kind):
+                raise DecodeError(
+                    f"authority state: {key} missing or not a {kind.__name__}")
         ta = cls.__new__(cls)
         ta.rng = rng or _SYSTEM_RNG
         ta.pp = absc.public_params_from_json(obj["pk"])

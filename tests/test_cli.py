@@ -61,6 +61,21 @@ def test_register_refuses_a_state_file_whose_beta_is_zero(authority_dir,
     assert not (tmp_path / "public.json").exists()
 
 
+@pytest.mark.parametrize("key", ["pk", "mk", "slot_seconds", "directory",
+                                 "publishers", "validators"])
+def test_register_refuses_a_state_file_missing_a_key(authority_dir, tmp_path,
+                                                     capsys, key):
+    # a missing key was a KeyError that ended in a traceback
+    state = json.loads((authority_dir / "ta_state.json").read_text())
+    for broken in ({k: v for k, v in state.items() if k != key},
+                   dict(state, **{key: "x"})):
+        (tmp_path / "ta_state.json").write_text(json.dumps(broken))
+        assert cli.main(["ta", "register", "--dir", str(tmp_path), "--role", "sd",
+                         "--identity", "sensor-19", "--attrs", "alpha"]) == 2
+        assert f"{key} missing or not a" in capsys.readouterr().err
+        assert not (tmp_path / "public.json").exists()
+
+
 def test_files_with_a_quorum_key_still_load(authority_dir, tmp_path):
     # files written while the authority still stored a quorum carry the key
     for name in ("ta_state.json", "public.json"):

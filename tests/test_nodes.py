@@ -237,47 +237,69 @@ def test_pull_alarms_on_bad_payload_hex(authority, stack_factory, monkeypatch):
 
 
 class JunkSource(nodes.NodeService):
-    """A relay that serves `head` and a JSON list for every block."""
+    """A relay whose head claims block `tip`, which serves each block up
+    to it as (status, body) at once, and counts the block requests."""
 
-    def __init__(self, head):
+    def __init__(self, status, body, tip=1):
         super().__init__("relay")
-        self.head = head
+        self.status, self.body, self.tip = status, body, tip
+        self.requests = 0
 
     def handle(self, method, path, body):
         if urlparse(path).path == "/chain/head":
-            return 200, self.head
-        return 200, ["not", "a", "block"]
+            return 200, {"index": self.tip}
+        self.requests += 1
+        idx = int(urlparse(path).path.rsplit("/", 1)[1])
+        if idx > self.tip:
+            return 404, {"error": "not-found"}
+        return self.status, self.body
+
+
+def run_puller(ta, bundles, source, seconds, until=lambda dev: True):
+    """Run a pulling device's loop against source until `until(dev)`
+    holds (for at most 5 s), then `seconds` more; stop both."""
+    dev = bare_device(ta, bundles, source=source.url, pull=True)
+    try:
+        dev.start(serve=False)
+        deadline = time.monotonic() + 5
+        while not until(dev) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(seconds)
+    finally:
+        dev.stop()
+        source.stop()
+    return dev
 
 
 def test_pull_alarms_once_on_a_non_object_block(authority):
+    # a block that is not an object, or holds no record object, alarms
+    # once; the device moves past it and asks for the next
     ta, bundles = authority
-    source = JunkSource({"index": 1}).start(run_loop=False)
-    dev = bare_device(ta, bundles, source=source.url, pull=True)
-    dev.start(serve=False)
-    deadline = time.monotonic() + 5
-    while dev._pull_next == 1 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    time.sleep(5 * dev.poll_interval)  # a few more ticks past the block
-    dev.stop()
-    source.stop()
-    assert dev._pull_next == 2
-    assert [e["event"] for e in dev.events] == ["integrity-alarm"]
-    assert dev.events[0]["detail"] == "bad-block"
+    for junk in (["not", "a", "block"], {"index": 1, "record": None}):
+        source = JunkSource(200, junk).start(run_loop=False)
+        # a few more ticks once past the block
+        dev = run_puller(ta, bundles, source, 0.1, lambda d: d._pull_next > 1)
+        assert dev._pull_next == 2
+        assert [(e["event"], e.get("detail")) for e in dev.events] == [
+            ("integrity-alarm", "bad-block")]
 
 
-def test_followers_skip_a_non_object_head(authority):
+def test_followers_advance_only_on_a_200_block(authority):
+    # the head claims block 1, but no answer for it is a 200: neither
+    # follower moves past it, and neither logs a sync event
     ta, bundles = authority
-    source = JunkSource(["not", "a", "head"]).start(run_loop=False)
-    dev = bare_device(ta, bundles, source=source.url, pull=True)
-    edge = EdgeNode("edge-1", ta.ctx, ta.validator_set(), ta.publishers,
-                    source.url, clock=ManualClock(18))
-    try:
-        dev.tick()
-        edge.sync_once()
-    finally:
-        source.stop()
-    assert dev._pull_next == 1 and dev.events == []
-    assert len(edge.chain) == 1
+    for status in (500, 404):
+        source = JunkSource(status, {"error": "nope"}).start(run_loop=False)
+        dev = bare_device(ta, bundles, source=source.url, pull=True)
+        edge = EdgeNode("edge-1", ta.ctx, ta.validator_set(), ta.publishers,
+                        source.url, clock=ManualClock(18))
+        try:
+            assert not dev.tick()
+            assert not edge.sync_once()
+        finally:
+            source.stop()
+        assert dev._pull_next == 1 and dev.events == []
+        assert len(edge.chain) == 1 and edge.events == []
 
 
 def test_edge_resyncs_a_gap(authority, stack_factory):
@@ -288,8 +310,9 @@ def test_edge_resyncs_a_gap(authority, stack_factory):
     stack.publish(ta, bundles, msg=b"second", seed=2)
     stack.seal_next_slot()
     assert len(stack.validator.chain) == 3
-    # the edge was idle while both blocks landed; one pass catches it up
-    stack.edge.sync_once()
+    # the edge was idle while both blocks landed; one pass per block
+    # catches it up
+    assert stack.edge.sync_once() and stack.edge.sync_once()
     assert len(stack.edge.chain) == 3
     assert [e["index"] for e in stack.edge.events
             if e["event"] == "block-synced"] == [1, 2]
@@ -573,45 +596,90 @@ def test_requests_to_one_peer_share_one_connection(authority, stack_factory,
         assert stack.edge.sync_once()
     assert [m for _, m in stack.devices["match"].accepted] == [
         b"block 0", b"block 1", b"block 2"]
-    # the edge sent 6 requests to the validator and 3 pushes to each
+    # the edge sent 3 requests to the validator and 3 pushes to each
     # device; each publish_message opens a connection of its own
     assert accepted == {"val-1": 3 + 1, "match": 1, "other": 1}
 
 
-def test_head_long_poll_waits_for_a_seal(authority, stack_factory):
+def test_block_long_poll_waits_for_a_seal(authority, stack_factory):
     ta, bundles = authority
     stack = stack_factory()
-    url = f"{stack.validator.url}/chain/head?after=0"
+    url = f"{stack.validator.url}/chain/block/1"
     t0 = time.monotonic()
-    assert http_get(url).json()["index"] == 0  # nothing sealed: the bound
+    assert http_get(url).status_code == 404  # nothing sealed: the bound
     waited = time.monotonic() - t0
     assert nodes.LONG_POLL_SECONDS <= waited < nodes.LONG_POLL_SECONDS + 0.5
-    assert http_get(f"{stack.validator.url}/chain/head?after=x").status_code == 400
+    t0 = time.monotonic()  # the head answers at once; it takes no `after`
+    assert http_get(f"{stack.validator.url}/chain/head?after=0").json()["index"] == 0
+    assert time.monotonic() - t0 < 0.5
 
     stack.publish(ta, bundles)
     # a seal wakes the validator's waiters, a sync the edge's
     for node, grow in ((stack.validator, stack.seal_next_slot),
                        (stack.edge, stack.edge.sync_once)):
-        url = f"{node.url}/chain/head?after=0"
+        url = f"{node.url}/chain/block/1"
         got = {}
 
         def poll():
-            got["head"] = http_get(url).json()
+            got["block"] = http_get(url).json()
             got["at"] = time.monotonic()
 
         poller = threading.Thread(target=poll)
         poller.start()
         time.sleep(0.3)
-        assert "head" not in got, node.name  # parked
+        assert "block" not in got, node.name  # parked
         grow()
         grown = time.monotonic()
         poller.join(5)
         assert not poller.is_alive()
-        assert got["head"]["index"] == 1
+        assert got["block"] == ledger.block_to_json(stack.validator.chain[1])
         assert got["at"] - grown < 0.1, node.name
         t0 = time.monotonic()
-        assert http_get(url).json()["index"] == 1  # already past 0: no wait
+        assert http_get(url).status_code == 200  # held: no wait
         assert time.monotonic() - t0 < 0.5
+
+
+def test_followers_send_one_request_per_block(authority):
+    ta, bundles = authority
+    clock = ManualClock(0.0)
+    t0 = time.monotonic()
+    validator = started_validator(ta, bundles, clock)
+    edge = EdgeNode("edge-1", ta.ctx, ta.validator_set(), ta.publishers,
+                    validator.url, clock=clock)
+    served = {}
+    for node in (validator, edge):
+        def spy(method, path, body, real=node.handle,
+                log=served.setdefault(node.name, [])):
+            status, reply = real(method, path, body)
+            if method == "GET":
+                log.append((path, status))
+            return status, reply
+
+        node.handle = spy
+    edge.start()
+    dev = bare_device(ta, bundles, source=edge.url, clock=clock, pull=True)
+    dev.start(serve=False)
+    try:
+        for i in range(3):
+            publish_message(ta.pp, bundles["sp"], b"block %d" % i, POLICY,
+                            validator.url, random.Random(90 + i))
+            clock.advance(15)
+            deadline = time.monotonic() + 5
+            while len(dev.accepted) <= i:
+                assert time.monotonic() < deadline, "block %d never arrived" % i
+                time.sleep(0.01)
+    finally:
+        for node in (dev, edge, validator):
+            node.stop()
+    elapsed = time.monotonic() - t0
+    # the edge asks the validator, the device asks the edge: one request
+    # per block, none for the head; a parked request for a block not yet
+    # sealed ends in a 404 after LONG_POLL_SECONDS, or at stop()
+    for name, log in served.items():
+        assert [p for p, status in log if status == 200] == [
+            f"/chain/block/{i}" for i in (1, 2, 3)], name
+        assert all(p.startswith("/chain/block/") for p, _ in log), name
+        assert len(log) - 3 <= 1 + elapsed / nodes.LONG_POLL_SECONDS, name
 
 
 def test_stop_ends_parked_long_polls_and_idle_connections(authority):
@@ -701,31 +769,29 @@ def test_a_kept_alive_connection_the_server_closed_is_replaced_at_once(
     assert accepted == {"val-1": 2}
 
 
-class CountingSource(JunkSource):
-    """A relay that answers every head at once and counts the requests."""
-
-    def __init__(self, head):
-        super().__init__(head)
-        self.heads = 0
-
-    def handle(self, method, path, body):
-        self.heads += urlparse(path).path == "/chain/head"
-        return super().handle(method, path, body)
-
-
 def test_a_follower_polls_an_instant_relay_once_per_interval(authority):
     ta, bundles = authority
-    source = CountingSource({"index": 0}).start(run_loop=False)
-    dev = bare_device(ta, bundles, source=source.url, pull=True)
-    try:
-        dev.start(serve=False)
-        time.sleep(0.5)
-    finally:
-        dev.stop()
-        source.stop()
-    # nothing new on any answer: one head per 20 ms poll_interval at most
-    assert 5 <= source.heads <= 0.5 / dev.poll_interval + 2
+    source = JunkSource(200, {}, tip=0).start(run_loop=False)
+    dev = run_puller(ta, bundles, source, 0.5)
+    # block 1 is missing and the relay says so at once: one request per
+    # 20 ms poll_interval at most
+    assert 5 <= source.requests <= 0.5 / dev.poll_interval + 2
     assert dev.events == []
+
+
+def test_a_follower_polls_a_junk_relay_once_per_interval(authority):
+    # each junk block is a step past it but no progress, so the loop
+    # still waits poll_interval before the next request
+    ta, bundles = authority
+    source = JunkSource(200, ["not", "a", "block"], tip=10 ** 6).start(run_loop=False)
+    dev = run_puller(ta, bundles, source, 0.5)
+    assert 5 <= source.requests <= 0.5 / dev.poll_interval + 2
+    # one step and one alarm per junk block answered (stop() may cut
+    # the last answer off)
+    steps = dev._pull_next - 1
+    assert source.requests - 1 <= steps <= source.requests
+    assert {e.get("detail") for e in dev.events} == {"bad-block"}
+    assert len(dev.events) == steps
 
 
 # ---------------------------------------------------------------------------
