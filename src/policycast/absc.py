@@ -98,17 +98,32 @@ def _xor(a, b):
     return bytes(x ^ y for x, y in zip(a, b))
 
 
-_HEX_CHARS = frozenset("0123456789abcdef")
-
-
 def hex_bytes(text, width=None):
-    """Decode canonical (lowercase, even-length) hex; DecodeError otherwise."""
-    if (not isinstance(text, str) or len(text) % 2
-            or not _HEX_CHARS.issuperset(text)):
+    """Decode canonical (lowercase, even-length) hex; DecodeError otherwise.
+
+    bytes.fromhex also takes upper case and whitespace between bytes, so
+    the text is canonical only if the bytes' .hex() gives it back.
+    """
+    try:
+        data = bytes.fromhex(text)
+    except (TypeError, ValueError):
+        raise DecodeError("expected lowercase hex") from None
+    if data.hex() != text:
         raise DecodeError("expected lowercase hex")
-    if width is not None and len(text) != 2 * width:
+    if width is not None and len(data) != width:
         raise DecodeError(f"expected {width} hex-encoded bytes")
-    return bytes.fromhex(text)
+    return data
+
+
+def json_object(obj, keys, what):
+    """obj, if it is a JSON object whose every key in keys has the given
+    type; DecodeError naming what and the key otherwise."""
+    if not isinstance(obj, dict):
+        raise DecodeError(f"{what} is not an object")
+    for key, kind in keys.items():
+        if not isinstance(obj.get(key), kind):
+            raise DecodeError(f"{what}: {key} missing or not a {kind.__name__}")
+    return obj
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,15 @@
 
 Each measurement point is a single operation against an n-attribute AND
 policy, for n over the requested range.  The points of one profile are
-timed in rounds (monotonic clock): every round calls each point once, one
-after another, and the first round is a discarded warm-up, so each point
-gets `trials` timed runs spread over the whole profile.  A slow phase of
-the host then lands on a few runs of many points, which their medians
-drop, instead of on every run of a few neighbouring points.  Results can
-be dumped as CSV with one row per (profile, operation, attribute count).
+timed in rounds: every round calls each point once, one after another,
+and the first round is a discarded warm-up, so each point gets `trials`
+timed runs spread over the whole profile.  A slow phase of the host then
+lands on a few runs of many points, which their medians drop, instead of
+on every run of a few neighbouring points.  Each run reads the calling
+thread's CPU time (time.thread_time), not wall time: the operations are
+single-threaded compute, so time the host gives to other processes is
+not counted.  Results can be dumped as CSV with one row per (profile,
+operation, attribute count).
 """
 
 import csv
@@ -44,15 +47,16 @@ def _and_policy(n):
 
 def _time_rounds(fns, trials):
     """Call every fn once per round for a warm-up round plus `trials`
-    timed rounds; returns one list of `trials` samples (ms) per fn."""
+    timed rounds; returns one list of `trials` samples (ms of the
+    thread's CPU time) per fn."""
     samples = [[] for _ in fns]
     for fn in fns:
         fn()  # warm-up, discarded
     for _ in range(trials):
         for fn, out in zip(fns, samples):
-            t0 = time.perf_counter()
+            t0 = time.thread_time()
             fn()
-            out.append((time.perf_counter() - t0) * 1000.0)
+            out.append((time.thread_time() - t0) * 1000.0)
     return samples
 
 

@@ -43,6 +43,11 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _load_object(path, keys):
+    """The JSON object in path, checked by absc.json_object."""
+    return absc.json_object(_load_json(path), keys, path)
+
+
 def _dump_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -55,7 +60,8 @@ def _split_listen(text):
 
 
 def _public_context(public_path):
-    pub = _load_json(public_path)
+    pub = _load_object(public_path, {"pk": dict, "publishers": dict,
+                                     "validators": list, "slot_seconds": int})
     pp = absc.public_params_from_json(pub["pk"])
     from .ledger import ValidatorSet
     vset = ValidatorSet(tuple(pub["validators"]),
@@ -144,7 +150,8 @@ def cmd_ta_trace(args):
 
 def cmd_sp_publish(args):
     pub, pp, _ = _public_context(args.public)
-    bundle = _load_json(args.bundle)
+    bundle = _load_object(args.bundle, {"pseudo_id": str, "key_sign": str,
+                                        "key_ver": str})
     if args.text is not None:
         msg = args.text.encode("utf-8")
     else:
@@ -161,7 +168,7 @@ def cmd_sp_publish(args):
 
 def cmd_sp_run(args):
     pub, pp, vset = _public_context(args.public)
-    bundle = _load_json(args.bundle)
+    bundle = _load_object(args.bundle, {"pseudo_id": str})
     node = nodes.ValidatorNode("validator", pp.ctx, vset, pub["publishers"],
                                bundle["pseudo_id"], store_path=args.store)
     return _serve(node, args.listen, f"validator {bundle['pseudo_id']}")
@@ -177,7 +184,8 @@ def cmd_ed_run(args):
 
 def cmd_sd_run(args):
     pub, pp, vset = _public_context(args.public)
-    bundle = _load_json(args.bundle)
+    bundle = _load_object(args.bundle, {"pseudo_id": str,
+                                        "attribute_key": dict})
     key = absc.attribute_key_from_json(pp.ctx, bundle["attribute_key"])
     node = nodes.DeviceNode(bundle["pseudo_id"], pp, key, pub["publishers"],
                             vset.slot_seconds, source=args.source,

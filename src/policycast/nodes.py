@@ -818,14 +818,9 @@ class TrustedAuthority:
         """Load state_to_json's form; DecodeError if a key is missing or
         of the wrong type, or if the master key is not the public
         parameters' (absc.master_key_from_json)."""
-        if not isinstance(obj, dict):
-            raise DecodeError("authority state is not an object")
-        for key, kind in (("pk", dict), ("mk", dict), ("slot_seconds", int),
-                          ("directory", dict), ("publishers", dict),
-                          ("validators", list)):
-            if not isinstance(obj.get(key), kind):
-                raise DecodeError(
-                    f"authority state: {key} missing or not a {kind.__name__}")
+        absc.json_object(obj, {"pk": dict, "mk": dict, "slot_seconds": int,
+                               "directory": dict, "publishers": dict,
+                               "validators": list}, "authority state")
         ta = cls.__new__(cls)
         ta.rng = rng or _SYSTEM_RNG
         ta.pp = absc.public_params_from_json(obj["pk"])

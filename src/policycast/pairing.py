@@ -31,16 +31,18 @@ Fixed arguments.  r does not divide the cofactor c, so E(F_q)[r] is
 cyclic and both inputs are multiples of one generator G; hence
 e(A, phi(B)) = e(G, phi(G))^(ab) = e(B, phi(A)), and a long-lived point
 B (a key) can be the point the loop walks while the other input only
-supplies the evaluation point.  miller_lines walks B once, in Jacobian
-coordinates with tate_miller's formulas, and divides every line by the
-F_q part of its i-coefficient.  Those divisors are F_q factors, which the
-final exponentiation kills, and one Montgomery batch inversion covers
-all of them.  Each line is then two ints (a, b) with value a + b*xq +
-i*yq at phi(Q), and fixed_miller evaluates the table at Q with no point
-arithmetic and no inversion: about a third of a Miller loop.  Tables all
-follow the bits of r, so several (table, Q) pairs share one loop and its
-squarings; a pair evaluated at -Q = (xq, -yq) contributes the conjugate,
-which the final exponentiation turns into the inverse.
+supplies the evaluation point.  One Miller walk, _walk, yields the
+lines of a walked point in Jacobian coordinates: tate_miller evaluates
+each at phi(Q) as it comes, and miller_lines keeps B's lines, divided
+by the F_q part of each one's i-coefficient.  Those divisors are F_q
+factors, which the final exponentiation kills, and one Montgomery batch
+inversion covers all of them.  Each line is then two ints (a, b) with
+value a + b*xq + i*yq at phi(Q), and fixed_miller evaluates the table
+at Q with no point arithmetic and no inversion: about a third of a
+Miller loop.  Tables all follow the bits of r, so several (table, Q)
+pairs share one loop and its squarings; a pair evaluated at
+-Q = (xq, -yq) contributes the conjugate, which the final
+exponentiation turns into the inverse.
 
 Fixed bases.  A point raised to many scalars (g1, g2, h, a signing
 key) keeps a window table (fixed_base_table; Brickell, Gordon, McCurley
@@ -60,20 +62,20 @@ double-and-add for any other base, and the tables share one
 Jacobian-plus-affine mixed addition, _jac_add_affine.
 
 Walked and evaluated points.  Only the walked point must have order r:
-the loop relies on rP = O to end in the vertical chord, and both walks,
-tate_miller and miller_lines, check that it does, so a walked point
-needs no subgroup check of its own.  The walked points are the key-side
-ones: every key point, whose first pairing builds its lines, and psi,
-which e(C, psi) walks (absc).  A walk's Jacobian doubling is exact
-whenever Y != 0 and its chord whenever H != 0 (T != +-P); a
-degenerate step (Y = 0, or H = 0 for T = P or T = -P) sets Z to 0,
-and Z = 0 stays 0 through every later doubling (2*Y*Z) and chord
-(Z*H).  So Z != 0 before the last addition step means every step
-was exact and T = (r - 1)P there, and a vertical chord at that step
-(H = 0, R != 0) means T = -P, hence rP = O.  Any other end, an
-earlier vertical chord included, raises ValueError.  A point of
-order r walks with no degenerate step, because kP != O, +-P for
-1 < k < r - 1 and no point of odd order has y = 0.  The reduced
+the loop relies on rP = O to end in the vertical chord, and the one
+walk, _walk, which tate_miller and miller_lines both consume, checks
+that it does, so a walked point needs no subgroup check of its own.
+The walked points are the key-side ones: every key point, whose first
+pairing builds its lines, and psi, which e(C, psi) walks (absc).  The
+walk's Jacobian doubling is exact whenever Y != 0 and its chord
+whenever H != 0 (T != +-P); a degenerate step (Y = 0, or H = 0 for
+T = P or T = -P) sets Z to 0, and Z = 0 stays 0 through every later
+doubling (2*Y*Z) and chord (Z*H).  So Z != 0 before the last addition
+step means every step was exact and T = (r - 1)P there, and a vertical
+chord at that step (H = 0, R != 0) means T = -P, hence rP = O.  Any
+other end, an earlier vertical chord included, raises ValueError.  A
+point of order r walks with no degenerate step, because kP != O, +-P
+for 1 < k < r - 1 and no point of odd order has y = 0.  The reduced
 pairing depends on the evaluation point Q only modulo rE, because the
 Tate pairing is trivial on rE in its second argument.  q + 1 = c*r with
 r coprime to c, so any Q' of E(F_q) is Q + h with Q of order r and h of
@@ -396,99 +398,35 @@ def pt_decompress(x, y_is_odd, q):
 # ---------------------------------------------------------------------------
 # Tate pairing
 
-def tate_miller(P, Q, params):
-    """Miller loop for the reduced Tate pairing, walking P.
+def _walk(P, params):
+    """The Miller walk of P along the bits of r, one line at a time.
 
-    P and Q are affine points of E(F_q); the lines are evaluated at
-    phi(Q) = (-xq, i*yq).  Result is the unreduced f in F_q2; feed it to
-    tate_final_exp.  Subfield line factors are dropped (k = 2 is even).
-    Raises ValueError unless rP = O, shown by the walk itself (module
-    docstring, "Walked and evaluated points"); Q may be any point with
-    y != 0.
+    Yields each line as (a, b, s, doubling): its value at phi(Q) is
+    a + b*xq + i*s*yq, with a and b left unreduced for the caller's one
+    reduction, and doubling marks the lines that follow a squaring.  Subfield line factors are dropped
+    (k = 2 is even).  Raises ValueError at the end unless rP = O (module
+    docstring, "Walked and evaluated points").
     """
     q = params.q
     xp, yp = P
-    xq, yq = Q
-    fa, fb = 1, 0
     X, Y, Z = xp, yp, 1
     last = len(params.r_tail) - 1
     for k, bit in enumerate(params.r_tail):
-        # --- doubling step with tangent line at T evaluated at phi(Q)
+        # --- doubling step, with the tangent at T
         Zsq = Z * Z % q
-        B = Y * Y % q
         A = X * X % q
+        B = Y * Y % q
         Cc = B * B % q
-        D = 2 * ((X + B) * (X + B) - A - Cc) % q
+        D = 4 * X * B % q
         E = (3 * A + Zsq * Zsq) % q
-        X2 = (E * E - 2 * D) % q
         Z2 = 2 * Y * Z % q  # 0 once Y = 0 (T of order two) or Z = 0
-        Y2 = (E * (D - X2) - 8 * Cc) % q
-        # line: E*(X + xq*Zsq) - 2B  +  i * Z2*Zsq*yq
-        lr = (E * (X + xq * Zsq) - 2 * B) % q
-        li = Z2 * Zsq % q * yq % q
-        # f <- f^2 * l
-        t = (fa + fb) * (fa - fb) % q
-        fb = 2 * fa * fb % q
-        fa = t
-        m1 = fa * lr
-        m2 = fb * li
-        fa, fb = (m1 - m2) % q, ((fa + fb) * (lr + li) - m1 - m2) % q
-        X, Y, Z = X2, Y2, Z2
-        if bit == "1":
-            # --- addition step T + P with chord line evaluated at phi(Q)
-            Zsq = Z * Z % q
-            U2 = xp * Zsq % q
-            S2 = yp * Z % q * Zsq % q
-            H = (U2 - X) % q
-            R = (S2 - Y) % q
-            if k == last:
-                break  # r is odd: the walk ends on this chord
-            H2 = H * H % q
-            H3 = H * H2 % q
-            X2 = (R * R - H3 - 2 * X * H2) % q
-            Y2 = (R * (X * H2 - X2) - Y * H3) % q
-            Z2 = Z * H % q  # 0 once T = +-P or Z = 0
-            # line: Z2*yp - R*(xq + xp)  +  i * (-Z2*yq)
-            lr = (Z2 * yp - R * (xq + xp)) % q
-            li = -(Z2 * yq) % q
-            m1 = fa * lr
-            m2 = fb * li
-            fa, fb = (m1 - m2) % q, ((fa + fb) * (lr + li) - m1 - m2) % q
-            X, Y, Z = X2, Y2, Z2
-    # an undisturbed walk (Z != 0) ends on the vertical chord at T = -P,
-    # whose line is F_q-rational and dropped
-    if Z == 0 or H != 0 or R == 0:
-        raise ValueError("walked point is not of order r")
-    return fa, fb
-
-
-def miller_lines(P, params):
-    """Line table of a fixed point P for fixed_miller.
-
-    Walks P through tate_miller's loop and keeps each line as
-    (a, b, doubling), scaled so that its value at phi(Q) is
-    a + b*xq + i*yq; doubling marks the lines that follow a squaring.
-    Raises ValueError unless rP = O, by tate_miller's end check.
-    """
-    q = params.q
-    xp, yp = P
-    X, Y, Z = xp, yp, 1
-    raw = []  # (a, b) numerators, the F_q scale to divide out, doubling
-    last = len(params.r_tail) - 1
-    for k, bit in enumerate(params.r_tail):
-        Zsq = Z * Z % q
-        A = X * X % q
-        B = Y * Y % q
-        Cc = B * B % q
-        D = 2 * ((X + B) * (X + B) - A - Cc) % q
-        E = (3 * A + Zsq * Zsq) % q
-        Z2 = 2 * Y * Z % q
-        # tate_miller's tangent E*(X + xq*Zsq) - 2B + i*Z2*Zsq*yq
-        raw.append(((E * X - 2 * B) % q, E * Zsq % q, Z2 * Zsq % q, True))
+        # tangent at phi(Q): E*(X + xq*Zsq) - 2B + i*Z2*Zsq*yq
+        yield E * X - 2 * B, E * Zsq, Z2 * Zsq % q, True
         X = (E * E - 2 * D) % q
         Y = (E * (D - X) - 8 * Cc) % q
         Z = Z2
         if bit == "1":
+            # --- addition step T + P, with the chord through T and P
             Zsq = Z * Z % q
             H = (xp * Zsq - X) % q
             R = (yp * Z % q * Zsq - Y) % q
@@ -498,13 +436,50 @@ def miller_lines(P, params):
             H3 = H * H2 % q
             X2 = (R * R - H3 - 2 * X * H2) % q
             Y2 = (R * (X * H2 - X2) - Y * H3) % q
-            Z2 = Z * H % q
-            # tate_miller's chord Z2*yp - R*(xq + xp) - i*Z2*yq
-            raw.append(((R * xp - Z2 * yp) % q, R, Z2, False))
-            X, Y, Z = X2, Y2, Z2
-    if Z == 0 or H != 0 or R == 0:  # not the vertical chord at T = -P
+            Z = Z * H % q  # 0 once T = +-P or Z = 0
+            # chord at phi(Q): R*(xq + xp) - Z*yp + i*Z*yq
+            yield R * xp - Z * yp, R, Z, False
+            X, Y = X2, Y2
+    # an undisturbed walk (Z != 0) ends on the vertical chord at T = -P,
+    # whose line is F_q-rational and dropped
+    if Z == 0 or H != 0 or R == 0:
         raise ValueError("walked point is not of order r")
-    inverses = _batch_inv([scale for _, _, scale, _ in raw], q)
+
+
+def tate_miller(P, Q, params):
+    """Miller loop for the reduced Tate pairing, walking P.
+
+    P and Q are affine points of E(F_q); the walk's lines are evaluated
+    at phi(Q) = (-xq, i*yq).  Result is the unreduced f in F_q2; feed it
+    to tate_final_exp.  Raises ValueError unless rP = O, shown by the
+    walk itself; Q may be any point with y != 0.
+    """
+    q = params.q
+    xq, yq = Q
+    fa, fb = 1, 0
+    for a, b, s, doubling in _walk(P, params):
+        if doubling:  # f <- f^2
+            fa, fb = (fa + fb) * (fa - fb) % q, 2 * fa * fb % q
+        # f <- f * l
+        lr = (a + b * xq) % q
+        li = s * yq % q
+        m1 = fa * lr
+        m2 = fb * li
+        fa, fb = (m1 - m2) % q, ((fa + fb) * (lr + li) - m1 - m2) % q
+    return fa, fb
+
+
+def miller_lines(P, params):
+    """Line table of a fixed point P for fixed_miller.
+
+    Keeps each line of P's walk as (a, b, doubling), divided by its s so
+    that its value at phi(Q) is a + b*xq + i*yq, with one batch
+    inversion for all the divisors.  Raises ValueError unless rP = O, by
+    the walk's end check, and then builds no table.
+    """
+    q = params.q
+    raw = list(_walk(P, params))
+    inverses = _batch_inv([s for _, _, s, _ in raw], q)
     return [(a * s_inv % q, b * s_inv % q, doubling)
             for (a, b, _, doubling), s_inv in zip(raw, inverses)]
 

@@ -517,7 +517,8 @@ def test_payload_decode_strictness(ctx_asym):
 def test_hex_bytes_contract():
     assert absc.hex_bytes("00ff") == b"\x00\xff"
     assert absc.hex_bytes("00ff", 2) == b"\x00\xff"
-    for bad in ("00FF", "0", "xyz", 42, None, "00ff "):
+    for bad in ("00FF", "0", "xyz", 42, None, "00ff ", " 00ff", "00 ff",
+                "00ff\n", "０１", "٣٣", "0x00", b"00"):
         with pytest.raises(DecodeError):
             absc.hex_bytes(bad)
     with pytest.raises(DecodeError):

@@ -76,6 +76,76 @@ def test_register_refuses_a_state_file_missing_a_key(authority_dir, tmp_path,
         assert not (tmp_path / "public.json").exists()
 
 
+@pytest.fixture
+def no_serve(monkeypatch):
+    """A node command that gets past its file checks fails, not serves."""
+    monkeypatch.setattr(cli, "_serve", lambda *args, **kw: pytest.fail("served"))
+
+
+def _run_with(authority_dir, tmp_path, public=None, bundle=None,
+              command="sd"):
+    """cli.main on `command` with public.json and the device (sd) or
+    publisher (sp) bundle, either replaced by the given JSON value."""
+    paths = {}
+    for name, source, value in (("public.json", "public.json", public),
+                                ("bundle.json", f"{command}.json", bundle)):
+        paths[name] = authority_dir / source
+        if value is not None:
+            paths[name] = tmp_path / name
+            paths[name].write_text(json.dumps(value))
+    common = ["--bundle", str(paths["bundle.json"]),
+              "--public", str(paths["public.json"])]
+    if command == "sd":
+        return cli.main(["sd", "run", *common, "--listen", "127.0.0.1:0"])
+    return cli.main(["sp", "publish", *common, "--validator",
+                     "http://127.0.0.1:9", "--policy", "alpha", "--text", "x"])
+
+
+@pytest.mark.parametrize("key", ["pk", "publishers", "validators",
+                                 "slot_seconds", None])
+def test_node_commands_refuse_a_malformed_public_bundle(authority_dir,
+                                                        tmp_path, capsys,
+                                                        no_serve, key):
+    # a missing key was a KeyError, a list file a TypeError: tracebacks
+    public = json.loads((authority_dir / "public.json").read_text())
+    if key is None:
+        cases = [([public], "is not an object")]
+    else:
+        cases = [({k: v for k, v in public.items() if k != key},
+                  f"{key} missing or not a"),
+                 (dict(public, **{key: "x"}), f"{key} missing or not a")]
+    for command in ("sd", "sp"):
+        for broken, message in cases:
+            assert _run_with(authority_dir, tmp_path, public=broken,
+                             command=command) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "public.json" in err
+            assert message in err
+
+
+@pytest.mark.parametrize("command, key", [
+    ("sd", "attribute_key"), ("sd", "pseudo_id"), ("sd", None),
+    ("sp", "key_sign"), ("sp", "key_ver"), ("sp", "pseudo_id"), ("sp", None)])
+def test_node_commands_refuse_a_malformed_bundle(authority_dir, tmp_path,
+                                                 capsys, no_serve, command,
+                                                 key):
+    # tracebacks too: a device bundle given to `sp publish` (no key_sign)
+    # was KeyError: 'key_sign', a list file a TypeError
+    bundle = json.loads((authority_dir / f"{command}.json").read_text())
+    if key is None:
+        cases = [([bundle], "is not an object")]
+    else:
+        cases = [({k: v for k, v in bundle.items() if k != key},
+                  f"{key} missing or not a"),
+                 (dict(bundle, **{key: 7}), f"{key} missing or not a")]
+    for broken, message in cases:
+        assert _run_with(authority_dir, tmp_path, bundle=broken,
+                         command=command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bundle.json" in err
+        assert message in err
+
+
 def test_files_with_a_quorum_key_still_load(authority_dir, tmp_path):
     # files written while the authority still stored a quorum carry the key
     for name in ("ta_state.json", "public.json"):

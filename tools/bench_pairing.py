@@ -9,8 +9,7 @@ Ops, on each curve profile:
     pt_mul_r          pt_mul by the group order (the decode subgroup check)
     pt_mul            pt_mul of an s1 point by a random scalar
     pt_mul_fixed      n products from the point's warm window table, as one
-                      batch (n = 1, 8, 19), or n single products where
-                      pairing.pt_mul_fixed takes one (table, k, q)
+                      batch (n = 1, 8, 19)
     table_build       the window table of one fixed point
     setup             absc.setup
     keygen            absc.keygen of an n-attribute key
@@ -22,9 +21,8 @@ Ops, on each curve profile:
     designcrypt_warm  designcrypt, AND of n attributes, key reused
     designcrypt_cold  the same with a fresh copy of the key each call
 
-Ops that the imported policycast lacks are skipped, so the script times
-an older checkout too, with the same seed.  Each op runs once untimed,
-then REPEATS timed calls, pinned to one CPU as perfbench/run.py is.
+Each op runs once untimed, then REPEATS timed calls, pinned to one CPU
+as perfbench/run.py is.
 Usage, from the root of a checkout:
 
     PYTHONPATH=src python3 tools/bench_pairing.py LABEL OUT.json
@@ -32,7 +30,6 @@ Usage, from the root of a checkout:
 The run is merged into OUT.json under LABEL (say, "parent" or "change").
 """
 
-import inspect
 import json
 import os
 import platform
@@ -79,33 +76,24 @@ def bench_profile(profile):
     b = ctx.g2 ** ctx.random_scalar(rng)
     f = pr.tate_miller(a.point, b.point, ps)
     a_bytes = a.to_bytes()
-    ops = [("miller", lambda _: pr.tate_miller(a.point, b.point, ps))]
-    if hasattr(pr, "miller_lines"):
-        lines = pr.miller_lines(b.point, ps)
-        ops += [("fixed_miller", lambda _: pr.fixed_miller([(lines, a.point)], ps)),
-                ("miller_lines", lambda _: pr.miller_lines(b.point, ps))]
+    lines = pr.miller_lines(b.point, ps)
     k = ctx.random_scalar(rng).value
-    ops += [("final_exp", lambda _: pr.tate_final_exp(f, ps)),
-            ("pt_mul_r", lambda _: pr.pt_mul(a.point, ps.r, ps.q)),
-            ("pt_mul", lambda _: pr.pt_mul(a.point, k, ps.q)),
-            ("decode_s1", lambda _: ctx.deserialize_element(a_bytes, "s1"))]
-    if hasattr(ctx, "deserialize_evaluation_point"):
-        ops.append(("decode_eval",
-                    lambda _: ctx.deserialize_evaluation_point(a_bytes)))
-    if hasattr(pr, "fixed_base_table"):
-        ops.append(("table_build", lambda _: pr.fixed_base_table(a.point, ps)))
-    ops.append(("setup", lambda _: absc.setup(ctx, rng)))
+    ops = [("miller", lambda _: pr.tate_miller(a.point, b.point, ps)),
+           ("fixed_miller", lambda _: pr.fixed_miller([(lines, a.point)], ps)),
+           ("miller_lines", lambda _: pr.miller_lines(b.point, ps)),
+           ("final_exp", lambda _: pr.tate_final_exp(f, ps)),
+           ("pt_mul_r", lambda _: pr.pt_mul(a.point, ps.r, ps.q)),
+           ("pt_mul", lambda _: pr.pt_mul(a.point, k, ps.q)),
+           ("decode_s1", lambda _: ctx.deserialize_element(a_bytes, "s1")),
+           ("decode_eval", lambda _: ctx.deserialize_evaluation_point(a_bytes)),
+           ("table_build", lambda _: pr.fixed_base_table(a.point, ps)),
+           ("setup", lambda _: absc.setup(ctx, rng))]
     rows = [_row(profile, op, 1, _time(fn, REPEATS)) for op, fn in ops]
-    if hasattr(pr, "fixed_base_table"):
-        table = pr.fixed_base_table(a.point, ps)
-        batched = len(inspect.signature(pr.pt_mul_fixed).parameters) == 2
-        for n in BATCHES:
-            jobs = [(table, ctx.random_scalar(rng).value) for _ in range(n)]
-            if batched:
-                fn = lambda _, jobs=jobs: pr.pt_mul_fixed(jobs, ps.q)
-            else:
-                fn = lambda _, jobs=jobs: [pr.pt_mul_fixed(t, k, ps.q) for t, k in jobs]
-            rows.append(_row(profile, "pt_mul_fixed", n, _time(fn, REPEATS)))
+    table = pr.fixed_base_table(a.point, ps)
+    for n in BATCHES:
+        jobs = [(table, ctx.random_scalar(rng).value) for _ in range(n)]
+        rows.append(_row(profile, "pt_mul_fixed", n, _time(
+            lambda _: pr.pt_mul_fixed(jobs, ps.q), REPEATS)))
 
     pp, mk = absc.setup(ctx, rng)
     sk, vk = absc.signing_keygen(pp, mk, rng)
