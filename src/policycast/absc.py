@@ -43,19 +43,29 @@ pi = H1(msg) + H2(ser(delta)), which binds only the message and the
 session randomness, so anyone could swap a leaf component the reader
 does not use, or shift any evaluated point by one of cofactor order,
 and get a payload that still verifies.  Here B is the SHA-256 of the
-canonical payload with pi and psi removed (policy, c_tilde, C, the
-leaves, w, iv and body, in payload_bytes' canonical JSON), so every
-field but pi and psi is signed: the standard whole-ciphertext binding
-(Canetti, Halevi & Katz, EUROCRYPT 2004).  DeSignCrypt recomputes B
-from the decoded fields, so B signs their canonical form; the shape
-step that relays and devices share refuses payload bytes in any other
-form, so one signed payload has one digest.  Because of B, st_from_json
-decodes C, w and the leaf points, which pairings only evaluate at,
-without a subgroup check (GroupContext.deserialize_evaluation_point).
-psi is decoded the same way, in the key group: e(C, psi) walks it, and
-the walk raises unless p*psi = O (pairing.tate_miller), which
-designcrypt turns into a failure.  Payloads signed without B do not
-verify.
+payload bytes before pi (policy, c_tilde, C, the leaves, w, iv and
+body), so every field but pi and psi is signed: the standard
+whole-ciphertext binding (Canetti, Halevi & Katz, EUROCRYPT 2004).
+DeSignCrypt recomputes B from the decoded fields.  Because of B,
+payload_from_bytes decodes C, w and the leaf points, which pairings
+only evaluate at, without a subgroup check
+(GroupContext.deserialize_evaluation_point).  psi is decoded the same
+way, in the key group: e(C, psi) walks it, and the walk raises unless
+p*psi = O (pairing.tate_miller), which designcrypt turns into a
+failure.  Payloads signed without B do not verify.
+
+Wire form.  A payload is one binary string, its fields in a fixed
+order: the policy text's length (4 bytes, big-endian) and the text,
+c_tilde (32 bytes), C, w, each leaf's C_y and C'_y in tree.leaves()
+order, iv (16 bytes), the body, pi (r_bytes, big-endian) and psi.
+Points keep their to_bytes() encoding, tag byte included, and the body
+is every byte between the iv and the fixed-width tail.  Decoding is
+slicing: the shape step that relays and devices share checks field
+lengths, the policy text (it must be policy_to_text of its own parse)
+and takes the leaf count from the tree; devices then decode the
+points.  Every field has one encoding, so bytes that decode are the
+payload_bytes of what they decode to, by construction, and one signed
+payload has one digest.
 
 Keys.  A device's key points (d_enc, every d_j and d'_j, and a
 publisher's key_ver) are decoded the same way, on the curve only
@@ -76,7 +86,6 @@ decryption/verification problem surfaces as None, never as a partially
 recovered message.
 """
 
-import json
 from dataclasses import dataclass, field, replace
 
 from cryptography.hazmat.primitives import padding as _padding
@@ -408,141 +417,82 @@ def designcrypt(pp, st, ct_msg, key, verification_key, transcript=None):
 
 
 # ---------------------------------------------------------------------------
-# wire form
+# wire form: one binary payload (module docstring, "Wire form")
 
-def _point_hex(p):
-    """Hex of a point field: an element, or its encoded bytes (_st_shape)."""
-    return (p if isinstance(p, bytes) else p.to_bytes()).hex()
+POLICY_LEN_BYTES = 4
 
 
-def _signed_json(st):
-    """st_to_json without pi and psi: the part of st that B covers."""
-    leaves = []
+def _signed_bytes(st, ct_msg):
+    """The payload up to pi: every field that B signs."""
+    text = policy_to_text(st.tree).encode("utf-8")
+    parts = [len(text).to_bytes(POLICY_LEN_BYTES, "big"), text, st.c_tilde,
+             st.c.to_bytes(), st.w.to_bytes()]
     for idx in st.tree.leaves():
-        c_y, c_y_prime = st.leaf_c[idx]
-        leaves.append({"attr": st.tree.nodes[idx].attribute,
-                       "c_y": _point_hex(c_y),
-                       "c_y_prime": _point_hex(c_y_prime)})
-    return {
-        "policy": policy_to_text(st.tree),
-        "c_tilde": st.c_tilde.hex(),
-        "c": _point_hex(st.c),
-        "leaves": leaves,
-        "w": _point_hex(st.w),
-    }
-
-
-def st_to_json(st):
-    return dict(_signed_json(st), pi=str(st.pi.value), psi=_point_hex(st.psi))
+        parts += [point.to_bytes() for point in st.leaf_c[idx]]
+    parts += [ct_msg.iv, ct_msg.body]
+    return b"".join(parts)
 
 
 def _pi(ctx, msg, delta, st, ct_msg):
-    """pi = H1(msg) + H2(ser(delta) || B), B the digest of the signed payload."""
-    b = ctx.hash_to_bits(canonical_json({"st": _signed_json(st),
-                                         "ct": ct_to_json(ct_msg)}))
+    """pi = H1(msg) + H2(ser(delta) || B), B the SHA-256 of the payload up to pi."""
+    b = ctx.hash_to_bits(_signed_bytes(st, ct_msg))
     return ctx.hash_to_scalar(msg) + ctx.hash_to_scalar(delta.to_bytes() + b)
 
 
-def _st_shape(ctx, obj):
-    """Shape step of st_from_json: keys, policy, hex widths, pi range and
-    leaves, no curve math.  The point fields keep their encoded bytes."""
-    try:
-        tree = parse_policy(obj["policy"])
-        width = 1 + 2 * ctx.params.fq_bytes
-        c_tilde = hex_bytes(obj["c_tilde"], KEY_BYTES)
-        c = hex_bytes(obj["c"], width)
-        w = hex_bytes(obj["w"], width)
-        psi = hex_bytes(obj["psi"], width)
-        pi_raw = obj["pi"]
-        if not isinstance(pi_raw, str) or not pi_raw.isdigit():
-            raise DecodeError("pi must be a decimal string")
-        pi_val = int(pi_raw)
-        if not 0 <= pi_val < ctx.p:
-            raise DecodeError("pi out of range")
-        leaf_idx = tree.leaves()
-        raw_leaves = obj["leaves"]
-        if not isinstance(raw_leaves, list) or len(raw_leaves) != len(leaf_idx):
-            raise DecodeError("leaf component count does not match the tree")
-        leaf_c = {}
-        for idx, entry in zip(leaf_idx, raw_leaves):
-            if entry["attr"] != tree.nodes[idx].attribute:
-                raise DecodeError("leaf attribute mismatch")
-            leaf_c[idx] = (hex_bytes(entry["c_y"], width),
-                           hex_bytes(entry["c_y_prime"], width))
-        return SignedCiphertext(tree, c_tilde, c, leaf_c, w,
-                                Scalar(pi_val, ctx.p), psi)
-    except DecodeError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DecodeError(f"malformed signed ciphertext: {exc}") from None
-
-
-def st_from_json(ctx, obj):
-    """Decode; raises DecodeError on any structural problem."""
-    return _decode_points(ctx, _st_shape(ctx, obj))
-
-
-def _decode_points(ctx, st):
-    """The curve step after _st_shape: every point is checked on the curve
-    only.  C, w and the leaf points are signed into pi and only evaluated
-    at; designcrypt's walk of psi checks its subgroup.
-    """
-    pt = ctx.deserialize_evaluation_point
-    return replace(st, c=pt(st.c), w=pt(st.w), psi=pt(st.psi, "s2"),
-                   leaf_c={idx: (pt(a), pt(b)) for idx, (a, b) in st.leaf_c.items()})
-
-
-def ct_to_json(ct_msg):
-    return {"iv": ct_msg.iv.hex(), "body": ct_msg.body.hex()}
-
-
-def ct_from_json(obj):
-    try:
-        iv = hex_bytes(obj["iv"], IV_BYTES)
-        body = hex_bytes(obj["body"])
-    except (KeyError, TypeError) as exc:
-        raise DecodeError(f"malformed message ciphertext: {exc}") from None
-    if not body or len(body) % 16:
-        raise DecodeError("body must be a positive multiple of the block size")
-    return MessageCiphertext(iv, body)
-
-
-def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def payload_bytes(st, ct_msg):
-    """Canonical bytes of one signcrypted payload; input to the ledger digest."""
-    return canonical_json({"st": st_to_json(st), "ct": ct_to_json(ct_msg)})
-
-
-def _payload_parts(data):
-    try:
-        obj = json.loads(data.decode("utf-8"))
-        return obj["st"], obj["ct"]
-    except (KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
-        raise DecodeError(f"malformed payload: {exc}") from None
+    """The bytes of one signcrypted payload; input to the ledger digest."""
+    return (_signed_bytes(st, ct_msg) + st.pi.to_bytes(st.psi.ctx.params.r_bytes)
+            + st.psi.to_bytes())
 
 
 def _payload_shape(ctx, data):
-    """Shape step shared by relays and devices; point fields stay bytes.
+    """Shape step shared by relays and devices: field lengths, policy
+    text and leaf count, no curve math; the point fields stay bytes.
 
-    The bytes must be the canonical encoding of what they parse to
-    (policy_to_text, pi in plain decimal, the points' own encodings),
-    so a payload's digest is a function of its signed fields: no
-    respacing, leading zero or extra key yields a second digest.
+    Every field has one encoding (fixed widths, pi below p, the policy's
+    own canonical text, the body between a fixed-width head and tail), so
+    bytes that pass are the payload_bytes of what they decode to, and one
+    signed payload has one digest.
     """
-    st_obj, ct_obj = _payload_parts(data)
-    st, ct_msg = _st_shape(ctx, st_obj), ct_from_json(ct_obj)
-    if payload_bytes(st, ct_msg) != data:
-        raise DecodeError("payload is not in canonical form")
-    return st, ct_msg
+    width = 1 + 2 * ctx.params.fq_bytes
+    r_bytes = ctx.params.r_bytes
+    head = POLICY_LEN_BYTES + int.from_bytes(data[:POLICY_LEN_BYTES], "big")
+    if len(data) < head:
+        raise DecodeError("policy length exceeds the payload")
+    try:
+        text = data[POLICY_LEN_BYTES:head].decode("utf-8")
+        tree = parse_policy(text)
+    except ValueError as exc:
+        raise DecodeError(f"bad policy: {exc}") from None
+    if policy_to_text(tree) != text:
+        raise DecodeError("policy text is not in canonical form")
+    leaves = tree.leaves()
+    sizes = [KEY_BYTES, width, width] + [width] * (2 * len(leaves)) + [IV_BYTES]
+    body_len = len(data) - head - sum(sizes) - r_bytes - width
+    if body_len <= 0 or body_len % 16:
+        raise DecodeError("body must be a positive multiple of the block size")
+    fields, pos = [], head
+    for size in sizes + [body_len, r_bytes, width]:
+        fields.append(data[pos:pos + size])
+        pos += size
+    c_tilde, c, w, *points, iv, body, pi_raw, psi = fields
+    pi = int.from_bytes(pi_raw, "big")
+    if pi >= ctx.p:
+        raise DecodeError("pi out of range")
+    leaf_c = dict(zip(leaves, zip(points[::2], points[1::2])))
+    return (SignedCiphertext(tree, c_tilde, c, leaf_c, w, Scalar(pi, ctx.p), psi),
+            MessageCiphertext(iv, body))
 
 
 def payload_from_bytes(ctx, data):
-    """Full decode, curve points included: the devices' decoder."""
+    """Full decode, the devices' decoder: the shape step, then every point
+    on the curve only.  C, w and the leaf points are signed into pi and
+    only evaluated at; designcrypt's walk of psi checks its subgroup."""
     st, ct_msg = _payload_shape(ctx, data)
-    return _decode_points(ctx, st), ct_msg
+    pt = ctx.deserialize_evaluation_point
+    return replace(st, c=pt(st.c), w=pt(st.w), psi=pt(st.psi, "s2"),
+                   leaf_c={idx: (pt(a), pt(b))
+                           for idx, (a, b) in st.leaf_c.items()}), ct_msg
 
 
 def check_payload_shape(ctx, data):

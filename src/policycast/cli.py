@@ -214,10 +214,9 @@ def cmd_bench(args):
 
 
 def cmd_scenario(args):
-    cfg = _load_json(args.config) if args.config else None
+    cfg = _load_object(args.config, {}) if args.config else {}
     if args.fault:
-        cfg = dict(cfg or {})
-        cfg["fault"] = args.fault
+        cfg = dict(cfg, fault=args.fault)
     result = scenario.run_scenario(cfg, mode=args.mode)
     print(result.summary())
     if args.events:

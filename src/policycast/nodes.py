@@ -229,16 +229,20 @@ def _request(method, url, sent, timeout, retries, conns):
             conns.close()
 
 
+def canonical_json(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def http_get(url, timeout=5.0, retries=3, conns=None):
     return _request("GET", url, None, timeout, retries, conns)
 
 
 def http_post_json(url, obj, timeout=5.0, retries=3, conns=None):
-    return _request("POST", url, absc.canonical_json(obj), timeout, retries, conns)
+    return _request("POST", url, canonical_json(obj), timeout, retries, conns)
 
 
-# A message's ciphertext is hex inside the payload, and the payload is hex
-# inside the block JSON: 64 MiB carries a message of up to ~16 MB.
+# The payload is hex inside the block JSON: 64 MiB carries a message of
+# up to ~32 MB.
 MAX_BODY = 64 << 20
 
 
@@ -280,7 +284,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _reply(self, status, payload):
         # headers and body in one write: with two, Nagle and delayed ACK
         # hold the body back on a kept-alive connection
-        raw = absc.canonical_json(payload)
+        raw = canonical_json(payload)
         head = (f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
                 f"Content-Type: application/json\r\nContent-Length: {len(raw)}\r\n"
                 + ("Connection: close\r\n" if self.close_connection else "")

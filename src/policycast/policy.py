@@ -163,36 +163,41 @@ class _Parser:
         return self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
 
     def parse(self):
-        node = self.parse_or()
+        node = self.parse_or(0)
         if self.i < len(self.tokens):
             raise PolicySyntaxError(f"unexpected {self.peek()!r}", self.pos())
         return node
 
-    def parse_or(self):
-        items = [self.parse_and()]
+    # depth counts the open parentheses: a bound on it keeps the
+    # recursion below the interpreter's limit on any input
+    def parse_or(self, depth):
+        items = [self.parse_and(depth)]
         while self.peek() == "or":
             self.next()
-            items.append(self.parse_and())
+            items.append(self.parse_and(depth))
         if len(items) == 1:
             return items[0]
         return {"k": 1, "children": items}
 
-    def parse_and(self):
-        items = [self.parse_atom()]
+    def parse_and(self, depth):
+        items = [self.parse_atom(depth)]
         while self.peek() == "and":
             self.next()
-            items.append(self.parse_atom())
+            items.append(self.parse_atom(depth))
         if len(items) == 1:
             return items[0]
         return {"k": len(items), "children": items}
 
-    def parse_atom(self):
+    def parse_atom(self, depth):
         tok, at = self.next()
         if tok == "(":
-            items = [self.parse_or()]
+            if depth == MAX_DEPTH:
+                raise PolicySyntaxError(
+                    f"parentheses nest deeper than {MAX_DEPTH}", at)
+            items = [self.parse_or(depth + 1)]
             while self.peek() == ",":
                 self.next()
-                items.append(self.parse_or())
+                items.append(self.parse_or(depth + 1))
             tok2, at2 = self.next()
             if tok2 != ")":
                 raise PolicySyntaxError(f"expected ')', got {tok2!r}", at2)

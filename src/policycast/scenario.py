@@ -55,14 +55,21 @@ _DEFAULTS = {
 
 
 def _merged(config):
-    cfg = dict(_DEFAULTS)
-    cfg.update(config or {})
+    """The defaults with config over them; DecodeError (a ValueError)
+    unless each default's key keeps its default's type and each device
+    is an object with a name, attributes and an expected outcome."""
+    cfg = absc.json_object({**_DEFAULTS, **(config or {})},
+                           {key: type(value) for key, value in _DEFAULTS.items()},
+                           "scenario config")
+    for dev in cfg["devices"]:
+        absc.json_object(dev, {"name": str, "attributes": list, "expect": str},
+                         "scenario device")
     return cfg
 
 
 def _message_bytes(cfg):
     if "message_hex" in cfg:
-        return bytes.fromhex(cfg["message_hex"])
+        return absc.hex_bytes(cfg["message_hex"])
     return cfg["message"].encode("utf-8")
 
 

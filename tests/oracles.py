@@ -15,9 +15,10 @@ with the formula (g2^alpha * g2^r)^(1/beta); tate_final_exp_reference,
 the square-and-multiply final exponentiation that the Lucas ladder
 replaces; and decrypt_node, designcrypt's tree evaluation with its own
 final exponentiation.  tate_miller_unchecked is the engine's Miller loop as it
-was before the loop learned to check its walked point, and
+was before the loop learned to check its walked point,
 tree_to_json / tree_from_json a nested JSON form of access trees that
-the tests round-trip.
+the tests round-trip, and payload_fields the payload's byte layout as
+documented, at which the tests splice bytes.
 """
 
 from dataclasses import replace
@@ -327,6 +328,49 @@ def decrypt_node(pp, st, key, node=None):
     """
     core = absc._decrypt_core(pp, st, key, st.tree.root if node is None else node)
     return None if core is None else pp.ctx.final_exp(core)
+
+
+# ---------------------------------------------------------------------------
+# the payload's byte layout, read from its documentation
+
+def payload_fields(ctx, data):
+    """{field: (start, stop)} of payload bytes, in wire order.
+
+    Written from the layout the absc module docstring documents, not
+    from absc's code: the policy text's length (4 bytes, big-endian) and
+    the text, c_tilde (32 bytes), C, w, ("c_y", i) and ("c_y_prime", i)
+    for leaf i in leaf order, iv (16 bytes), the body up to a fixed-width
+    tail, pi (r_bytes) and psi; a point is a tag byte, then x and y.
+    Tests splice bytes at these ranges, so they check the layout too.
+    """
+    point = 1 + 2 * ctx.params.fq_bytes
+    n = int.from_bytes(data[:4], "big")
+    sizes = [("policy_len", 4), ("policy", n), ("c_tilde", 32),
+             ("c", point), ("w", point)]
+    for i in range(len(parse_policy(data[4:4 + n].decode("utf-8")).leaves())):
+        sizes += [(("c_y", i), point), (("c_y_prime", i), point)]
+    sizes.append(("iv", 16))
+    fields, pos = {}, 0
+    for name, size in sizes:
+        fields[name] = (pos, pos + size)
+        pos += size
+    pi_at = len(data) - point - ctx.params.r_bytes
+    fields.update(body=(pos, pi_at), pi=(pi_at, len(data) - point),
+                  psi=(len(data) - point, len(data)))
+    return fields
+
+
+def splice(data, span, new):
+    """data with the bytes in span, a (start, stop) pair, replaced by new."""
+    start, stop = span
+    return data[:start] + new + data[stop:]
+
+
+def with_policy_text(ctx, data, text):
+    """data with its policy text replaced and the length prefix fixed up."""
+    raw = text.encode("utf-8")
+    span = (0, payload_fields(ctx, data)["policy"][1])
+    return splice(data, span, len(raw).to_bytes(4, "big") + raw)
 
 
 # ---------------------------------------------------------------------------

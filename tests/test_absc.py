@@ -460,7 +460,22 @@ def test_wire_round_trip(scheme):
     assert ct2 == ct
     assert absc.designcrypt(pp, st2, ct2, key, vk) == b"msg"
     # canonical bytes are stable across a round trip
-    assert absc.payload_bytes(st2, ct2) == absc.payload_bytes(st, ct)
+    data = absc.payload_bytes(st, ct)
+    assert absc.payload_bytes(st2, ct2) == data
+    # each field sits where the documented layout puts it, and the
+    # fields tile the payload
+    text = b"(alpha, beta, gamma)@2"
+    expected = {"policy_len": len(text).to_bytes(4, "big"), "policy": text,
+                "c_tilde": st.c_tilde, "c": st.c.to_bytes(), "w": st.w.to_bytes()}
+    for i, idx in enumerate(st.tree.leaves()):
+        expected[("c_y", i)], expected[("c_y_prime", i)] = (
+            point.to_bytes() for point in st.leaf_c[idx])
+    expected.update(iv=ct.iv, body=ct.body, pi=st.pi.to_bytes(ctx.params.r_bytes),
+                    psi=st.psi.to_bytes())
+    fields = oracles.payload_fields(ctx, data)
+    assert list(fields) == list(expected)
+    assert b"".join(data[a:b] for a, b in fields.values()) == data
+    assert {name: data[a:b] for name, (a, b) in fields.items()} == expected
 
 
 def test_st_decode_strictness(scheme_asym):
@@ -469,40 +484,49 @@ def test_st_decode_strictness(scheme_asym):
     rng = random.Random(127)
     sk, _ = absc.signing_keygen(pp, mk, rng)
     st, ct = absc.signcrypt(pp, sk, b"msg", "alpha and beta", rng)
-    obj = absc.st_to_json(st)
+    data = absc.payload_bytes(st, ct)
+    fields = oracles.payload_fields(ctx, data)
+    absc.payload_from_bytes(ctx, data)
 
-    def reject(**overrides):
-        bad = dict(obj)
-        bad.update(overrides)
+    def put(name, new):
+        return oracles.splice(data, fields[name], new)
+
+    def reject(bad):
         with pytest.raises(DecodeError):
-            absc.st_from_json(ctx, bad)
+            absc.payload_from_bytes(ctx, bad)
 
-    reject(c=obj["c"].upper())          # hex must be lowercase
-    reject(c=obj["c"][:-1])             # odd length
-    reject(c_tilde=obj["c_tilde"][2:])  # wrong width
-    reject(pi=int(obj["pi"]))           # pi is a decimal string
-    reject(pi="-1")
-    reject(pi=str(ctx.p))               # out of range
-    reject(policy="alpha and")
-    reject(leaves=obj["leaves"][:1])    # count mismatch
-    bad_leaf = [dict(obj["leaves"][0], attr="zeta"), obj["leaves"][1]]
-    reject(leaves=bad_leaf)             # label disagrees with the tree
-    reject(psi=obj["c"])                # wrong group tag for psi
+    reject(put("c", data[slice(*fields["c"])][:-1]))          # point width
+    reject(put("c_tilde", data[slice(*fields["c_tilde"])][1:]))
+    reject(put("pi", ctx.p.to_bytes(ctx.params.r_bytes, "big")))  # out of range
+    reject(put("policy_len", len(data).to_bytes(4, "big")))
+    reject(put("psi", data[slice(*fields["c"])]))             # wrong group tag
+    reject(oracles.with_policy_text(ctx, data, "alpha and"))
+    reject(oracles.with_policy_text(ctx, data, "alpha  and beta"))
+    reject(oracles.with_policy_text(ctx, data, "(alpha, beta)@2"))  # not canonical
+    reject(oracles.with_policy_text(ctx, data, "alpha and beta and gamma"))
+    leaf = (fields[("c_y", 1)][0], fields[("c_y_prime", 1)][1])
+    reject(oracles.splice(data, leaf, b""))                   # leaf count
+    reject(data[:-1])
+    reject(data + b"\x00")
 
 
-def test_ct_decode_strictness():
-    good = {"iv": "00" * 16, "body": "11" * 16}
-    absc.ct_from_json(good)
-    for bad in (
-        {"iv": "00" * 15, "body": "11" * 16},
-        {"iv": "00" * 16, "body": "11" * 15},
-        {"iv": "00" * 16, "body": ""},
-        {"iv": "0" * 31, "body": "11" * 16},
-        {"iv": "00" * 16, "body": "GG" * 16},
-        {"iv": "00" * 16},
-    ):
-        with pytest.raises(DecodeError):
-            absc.ct_from_json(bad)
+def test_ct_decode_strictness(scheme_asym):
+    pp, mk = scheme_asym
+    ctx = pp.ctx
+    rng = random.Random(139)
+    sk, _ = absc.signing_keygen(pp, mk, rng)
+    st, ct = absc.signcrypt(pp, sk, b"m" * 20, "alpha", rng)
+    data = absc.payload_bytes(st, ct)
+    fields = oracles.payload_fields(ctx, data)
+    assert fields["body"][1] - fields["body"][0] == 32
+    for body in (b"", b"\x11" * 15, b"\x11" * 17, b"\x11" * 31):
+        with pytest.raises(DecodeError, match="block size"):
+            absc.payload_from_bytes(ctx, oracles.splice(data, fields["body"], body))
+    with pytest.raises(DecodeError):  # a 15-byte iv shifts the body
+        absc.payload_from_bytes(ctx, oracles.splice(data, fields["iv"], b"\x00" * 15))
+    _, ct16 = absc.payload_from_bytes(ctx, oracles.splice(data, fields["body"],
+                                                           b"\x11" * 16))
+    assert ct16 == absc.MessageCiphertext(ct.iv, b"\x11" * 16)
 
 
 def test_payload_decode_strictness(ctx_asym):
@@ -512,6 +536,62 @@ def test_payload_decode_strictness(ctx_asym):
         absc.payload_from_bytes(ctx_asym, b"[1, 2]")
     with pytest.raises(DecodeError):
         absc.payload_from_bytes(ctx_asym, b"{\"st\": {}}")
+
+
+def test_payload_decoder_fuzz(scheme):
+    # every input is refused with DecodeError or decodes, and what
+    # decodes re-encodes to the same bytes: canonical by construction
+    pp, mk = scheme
+    ctx = pp.ctx
+    rng = random.Random(173)
+    sk, _ = absc.signing_keygen(pp, mk, rng)
+    st, ct = absc.signcrypt(pp, sk, b"fuzz" * 10, "(alpha, beta, gamma)@2", rng)
+    data = absc.payload_bytes(st, ct)
+    fields = oracles.payload_fields(ctx, data)
+    outcomes = {"decoded": 0, "refused": 0}
+
+    def feed(bad):
+        try:
+            absc.check_payload_shape(ctx, bad)
+            shape_ok = True
+        except DecodeError:
+            shape_ok = False
+        try:
+            st_m, ct_m = absc.payload_from_bytes(ctx, bad)
+        except DecodeError:
+            outcomes["refused"] += 1
+            return "refused"
+        assert shape_ok
+        assert absc.payload_bytes(st_m, ct_m) == bad
+        outcomes["decoded"] += 1
+        return "decoded"
+
+    assert feed(data) == "decoded"
+    for n in range(len(data)):  # every length, so every field boundary too
+        feed(data[:n])
+    assert outcomes["decoded"] == 1
+    must_refuse = [
+        data + b"\x00",
+        oracles.splice(data, fields["policy_len"], len(data).to_bytes(4, "big")),
+        oracles.splice(data, fields["policy_len"], b"\xff" * 4),
+        oracles.splice(data, fields["pi"], ctx.p.to_bytes(ctx.params.r_bytes, "big")),
+        oracles.splice(data, fields["body"], b""),
+        oracles.splice(data, fields["body"], b"\x11" * 15),
+        oracles.splice(data, fields["body"], b"\x11" * 17),
+    ]
+    must_refuse += [oracles.with_policy_text(ctx, data, text) for text in (
+        " (alpha, beta, gamma)@2", "(alpha, beta, gamma)@2 ",
+        "(alpha,beta,gamma)@2", "(alpha, beta, gamma) @2",
+        "((alpha, beta, gamma)@2)", "(alpha, beta, gamma)@02",
+        "(alpha, (beta), gamma)@2", "", "(" * 400 + "alpha" + ")" * 400)]
+    for bad in must_refuse:
+        assert feed(bad) == "refused"
+    assert feed(oracles.splice(data, fields["body"], b"\x11" * 16)) == "decoded"
+    for _ in range(2500):
+        bent = bytearray(data)
+        bent[rng.randrange(len(bent))] ^= rng.randrange(1, 256)
+        feed(bytes(bent))
+    assert outcomes["decoded"] > 100 and outcomes["refused"] > 1000
 
 
 def test_hex_bytes_contract():
@@ -563,19 +643,24 @@ BINDING_CASES = {
 
 @pytest.fixture
 def signed_payload(scheme):
-    """(pp, key, vk, st JSON, ct JSON, unused leaf) on each profile."""
+    """(pp, key, vk, payload bytes, unused leaf) on each profile."""
     pp, mk = scheme
     policy, attrs, unused = BINDING_CASES[pp.ctx.profile.value]
     rng = random.Random(149)
     sk, vk = absc.signing_keygen(pp, mk, rng)
     key = absc.keygen(pp, mk, attrs, rng)
     st, ct = absc.signcrypt(pp, sk, b"bound payload", policy, rng)
-    return pp, key, vk, absc.st_to_json(st), absc.ct_to_json(ct), unused
+    return pp, key, vk, absc.payload_bytes(st, ct), unused
 
 
-def device_receive(pp, key, vk, st_obj, ct_obj):
+def leaf_number(policy, attr):
+    """The position of attr's leaf in leaf order, as payload_fields counts."""
+    tree = parse_policy(policy)
+    return [tree.nodes[idx].attribute for idx in tree.leaves()].index(attr)
+
+
+def device_receive(pp, key, vk, payload):
     """Outcome and alarm details of a fresh device handed this payload."""
-    payload = absc.canonical_json({"st": st_obj, "ct": ct_obj})
     pid = "ee" * 16
     dev = DeviceNode("dev", pp, key, {pid: vk.key_ver.to_bytes().hex()}, 15,
                      clock=ManualClock(18))
@@ -585,68 +670,64 @@ def device_receive(pp, key, vk, st_obj, ct_obj):
     return outcome, [e["detail"] for e in dev.events if e["event"] == "integrity-alarm"]
 
 
-def assert_verify_fails(pp, key, vk, st_obj, ct_obj):
+def assert_verify_fails(pp, key, vk, payload):
     transcript = {}
-    st = absc.st_from_json(pp.ctx, st_obj)
-    assert absc.designcrypt(pp, st, absc.ct_from_json(ct_obj), key, vk,
-                            transcript) is None
+    st, ct = absc.payload_from_bytes(pp.ctx, payload)
+    assert absc.designcrypt(pp, st, ct, key, vk, transcript) is None
     assert transcript["reason"] == "verify-failed"
-    assert device_receive(pp, key, vk, st_obj, ct_obj) == (
-        "alarm", ["designcrypt-failed"])
+    assert device_receive(pp, key, vk, payload) == ("alarm", ["designcrypt-failed"])
 
 
 def test_swapped_unused_leaf_fails_verification(signed_payload):
     # anyone can compute g1^k; without the payload in pi, swapping it in
     # for a leaf the reader never pairs still recovered the message
-    pp, key, vk, st_obj, ct_obj, unused = signed_payload
+    pp, key, vk, data, unused = signed_payload
     ctx = pp.ctx
-    assert device_receive(pp, key, vk, st_obj, ct_obj) == ("accepted", [])
-    fresh = (ctx.g1 ** ctx.random_scalar(random.Random(151))).to_bytes().hex()
-    leaves = [dict(leaf, c_y=fresh) if leaf["attr"] == unused else leaf
-              for leaf in st_obj["leaves"]]
-    assert leaves != st_obj["leaves"]
-    assert_verify_fails(pp, key, vk, dict(st_obj, leaves=leaves), ct_obj)
+    assert device_receive(pp, key, vk, data) == ("accepted", [])
+    fresh = (ctx.g1 ** ctx.random_scalar(random.Random(151))).to_bytes()
+    i = leaf_number(BINDING_CASES[ctx.profile.value][0], unused)
+    bad = oracles.splice(data, oracles.payload_fields(ctx, data)[("c_y", i)], fresh)
+    assert bad != data
+    assert_verify_fails(pp, key, vk, bad)
 
 
 def test_cofactor_shifted_points_fail_verification(signed_payload):
     # C, w and a used C_y are only evaluated at, so the pairings cannot
     # see the shift (designcrypt gets as far as the check); pi does
-    pp, key, vk, st_obj, ct_obj, _ = signed_payload
+    pp, key, vk, data, _ = signed_payload
     ctx = pp.ctx
     rng = random.Random(157)
-    used = BINDING_CASES[ctx.profile.value][1][0]
+    policy, attrs, _ = BINDING_CASES[ctx.profile.value]
+    fields = oracles.payload_fields(ctx, data)
 
-    def shifted(point_hex):
-        pt = ctx.deserialize_element(bytes.fromhex(point_hex), "s1").point
+    def shifted(name):
+        span = fields[name]
+        pt = ctx.deserialize_element(data[slice(*span)], "s1").point
         moved = pairing.pt_add(pt, oracles.cofactor_point(ctx.params, rng),
                                ctx.params.q)
-        return GroupElement(ctx, "s1", moved).to_bytes().hex()
+        return oracles.splice(data, span, GroupElement(ctx, "s1", moved).to_bytes())
 
-    leaves = [dict(leaf, c_y=shifted(leaf["c_y"])) if leaf["attr"] == used
-              else leaf for leaf in st_obj["leaves"]]
-    for bad in (dict(st_obj, c=shifted(st_obj["c"])),
-                dict(st_obj, w=shifted(st_obj["w"])),
-                dict(st_obj, leaves=leaves)):
-        assert_verify_fails(pp, key, vk, bad, ct_obj)
+    for name in ("c", "w", ("c_y", leaf_number(policy, attrs[0]))):
+        assert_verify_fails(pp, key, vk, shifted(name))
 
 
 def test_cofactor_shifted_psi_fails_designcrypt(signed_payload):
     # psi decodes on the curve only; e(C, psi) walks it, and the walk
     # refuses a psi outside the subgroup before any verification
-    pp, key, vk, st_obj, ct_obj, _ = signed_payload
+    pp, key, vk, data, _ = signed_payload
     ctx = pp.ctx
     rng = random.Random(163)
-    psi = ctx.deserialize_element(bytes.fromhex(st_obj["psi"]), "s2")
+    span = oracles.payload_fields(ctx, data)["psi"]
+    psi = ctx.deserialize_element(data[slice(*span)], "s2")
     moved = pairing.pt_add(psi.point, oracles.cofactor_point(ctx.params, rng),
                            ctx.params.q)
-    bad = dict(st_obj, psi=GroupElement(ctx, psi.group, moved).to_bytes().hex())
-    st = absc.st_from_json(ctx, bad)
+    bad = oracles.splice(data, span, GroupElement(ctx, psi.group, moved).to_bytes())
+    st, ct = absc.payload_from_bytes(ctx, bad)
     assert st.psi.point == moved
     transcript = {}
-    assert absc.designcrypt(pp, st, absc.ct_from_json(ct_obj), key, vk,
-                            transcript) is None
+    assert absc.designcrypt(pp, st, ct, key, vk, transcript) is None
     assert transcript["reason"] == "psi-not-in-subgroup"
-    assert device_receive(pp, key, vk, bad, ct_obj) == ("alarm", ["designcrypt-failed"])
+    assert device_receive(pp, key, vk, bad) == ("alarm", ["designcrypt-failed"])
 
 
 def test_key_load_does_no_pt_mul_and_no_strict_decode(signed_payload,
@@ -654,7 +735,7 @@ def test_key_load_does_no_pt_mul_and_no_strict_decode(signed_payload,
     # every key point is walked by its first pairing, which checks its
     # subgroup, so loading a key and building the device decode each
     # point on the curve only, and the cold receive adds no pt_mul either
-    pp, key, vk, st_obj, ct_obj, _ = signed_payload
+    pp, key, vk, data, _ = signed_payload
     ctx = pp.ctx
     key_json = absc.attribute_key_to_json(key)
     calls = []
@@ -672,7 +753,7 @@ def test_key_load_does_no_pt_mul_and_no_strict_decode(signed_payload,
     monkeypatch.setattr(GroupContext, "deserialize_element", decode)
     loaded = absc.attribute_key_from_json(ctx, key_json)
     assert loaded.comps == key.comps and loaded.d_enc == key.d_enc
-    assert device_receive(pp, loaded, vk, st_obj, ct_obj) == ("accepted", [])
+    assert device_receive(pp, loaded, vk, data) == ("accepted", [])
     assert calls == []
 
 
@@ -682,7 +763,7 @@ def test_cofactor_shifted_key_point_loads_and_fails_designcrypt(signed_payload,
     # a key point outside the subgroup decodes, and its first walk, the
     # one that builds its lines, refuses it before any value built from
     # it is used: designcrypt fails and the device alarms, every time
-    pp, key, vk, st_obj, ct_obj, _ = signed_payload
+    pp, key, vk, data, _ = signed_payload
     ctx = pp.ctx
     used = BINDING_CASES[ctx.profile.value][1][0]
 
@@ -705,25 +786,27 @@ def test_cofactor_shifted_key_point_loads_and_fails_designcrypt(signed_payload,
     else:
         vk = absc.VerificationKey(shifted(vk.key_ver))
     loaded = absc.attribute_key_from_json(ctx, key_json)
-    st, ct = absc.st_from_json(ctx, st_obj), absc.ct_from_json(ct_obj)
+    st, ct = absc.payload_from_bytes(ctx, data)
     for _ in range(2):  # a refused point keeps no lines, so it is walked again
         transcript = {}
         assert absc.designcrypt(pp, st, ct, loaded, vk, transcript) is None
         assert transcript["reason"] == "key-not-in-subgroup"
-    assert device_receive(pp, loaded, vk, st_obj, ct_obj) == (
-        "alarm", ["designcrypt-failed"])
+    assert device_receive(pp, loaded, vk, data) == ("alarm", ["designcrypt-failed"])
 
 
 def test_order_two_point_alarms_at_decode(signed_payload):
-    pp, key, vk, st_obj, ct_obj, _ = signed_payload
-    zero = "02" + "00" * 2 * pp.ctx.params.fq_bytes  # (0, 0)
+    pp, key, vk, data, _ = signed_payload
+    fields = oracles.payload_fields(pp.ctx, data)
+    zero = b"\x02" + b"\x00" * 2 * pp.ctx.params.fq_bytes  # (0, 0)
+    bad = oracles.splice(data, fields["c"], zero)
     with pytest.raises(DecodeError, match="order two"):
-        absc.st_from_json(pp.ctx, dict(st_obj, c=zero))
-    outcome, alarms = device_receive(pp, key, vk, dict(st_obj, c=zero), ct_obj)
+        absc.payload_from_bytes(pp.ctx, bad)
+    outcome, alarms = device_receive(pp, key, vk, bad)
     assert outcome == "alarm" and alarms == ["decode: point of order two"]
-    psi_zero = st_obj["psi"][:2] + zero[2:]  # (0, 0) under the key-group tag
+    psi_tag = data[fields["psi"][0]:fields["psi"][0] + 1]
+    psi_zero = oracles.splice(data, fields["psi"], psi_tag + zero[1:])  # key-group tag
     with pytest.raises(DecodeError, match="order two"):
-        absc.st_from_json(pp.ctx, dict(st_obj, psi=psi_zero))
+        absc.payload_from_bytes(pp.ctx, psi_zero)
 
 
 def test_tamper_smoke(scheme_asym):
@@ -735,18 +818,18 @@ def test_tamper_smoke(scheme_asym):
     sk, vk = absc.signing_keygen(pp, mk, rng)
     key = absc.keygen(pp, mk, ["alpha", "beta"], rng)
     st, ct = absc.signcrypt(pp, sk, b"critical update", "alpha and beta", rng)
-    obj = absc.st_to_json(st)
+    data = absc.payload_bytes(st, ct)
+    fields = oracles.payload_fields(ctx, data)
     flips = 0
     for field in ("c_tilde", "c", "w", "psi"):
-        raw = bytearray(bytes.fromhex(obj[field]))
-        raw[rng.randrange(len(raw))] ^= rng.randrange(1, 256)
-        bad = dict(obj)
-        bad[field] = bytes(raw).hex()
+        start, stop = fields[field]
+        bent = bytearray(data)
+        bent[rng.randrange(start, stop)] ^= rng.randrange(1, 256)
         try:
-            st_bad = absc.st_from_json(ctx, bad)
+            st_bad, ct_bad = absc.payload_from_bytes(ctx, bytes(bent))
         except DecodeError:
             flips += 1
             continue
-        assert absc.designcrypt(pp, st_bad, ct, key, vk) is None
+        assert absc.designcrypt(pp, st_bad, ct_bad, key, vk) is None
         flips += 1
     assert flips == 4

@@ -21,7 +21,8 @@ from conftest import record_acceptance
 from policycast import absc, bench, ledger, scenario
 from policycast.groups import DecodeError, GroupContext
 from policycast.nodes import DeviceNode, ManualClock
-from policycast.policy import lagrange_coeff, parse_policy, satisfies
+from policycast.policy import (AccessTree, lagrange_coeff, parse_policy,
+                               policy_to_text, satisfies)
 
 PROFILES = ("SYMMETRIC_512", "ASYMMETRIC_159")
 
@@ -149,24 +150,13 @@ def test_acceptance_verification_tag(scheme_asym):
 # ---------------------------------------------------------------------------
 # 4. byte-level tamper suite
 
-def _mutate_hex(rng, text, mutations):
-    """Random single-byte XORs inside a hex-encoded field."""
-    raw = bytes.fromhex(text)
+def _mutate_field(rng, data, span, mutations):
+    """Random single-byte XORs inside one field's byte range."""
     out = []
     for _ in range(mutations):
-        pos = rng.randrange(len(raw))
-        bent = bytearray(raw)
-        bent[pos] ^= rng.randrange(1, 256)
-        out.append(bytes(bent).hex())
-    return out
-
-def _mutate_decimal(rng, text, mutations):
-    digits = "0123456789"
-    out = []
-    for _ in range(mutations):
-        pos = rng.randrange(len(text))
-        repl = rng.choice([d for d in digits if d != text[pos]])
-        out.append(text[:pos] + repl + text[pos + 1:])
+        bent = bytearray(data)
+        bent[rng.randrange(*span)] ^= rng.randrange(1, 256)
+        out.append(bytes(bent))
     return out
 
 
@@ -175,8 +165,8 @@ def test_acceptance_tamper_rejection(scheme_sym, scheme_asym):
     false_accepts = []
     attempted = 0
 
-    # Phase A: mutate each cryptographic component through the wire
-    # form; a mutation must fail to decode or fail to designcrypt.
+    # Phase A: mutate each cryptographic component at its byte range in
+    # the payload; a mutation must fail to decode or fail to designcrypt.
     bases = [
         (scheme_asym, "alpha and beta"),
         (scheme_asym, "(alpha, beta, gamma, delta)@3"),
@@ -189,37 +179,36 @@ def test_acceptance_tamper_rejection(scheme_sym, scheme_asym):
         msg = b"do not trust mutations"
         st, ct = absc.signcrypt(pp, sk, msg, policy, rng)
         assert absc.designcrypt(pp, st, ct, key, vk) == msg
-        st_obj, ct_obj = absc.st_to_json(st), absc.ct_to_json(ct)
+        data = absc.payload_bytes(st, ct)
+        fields = oracles.payload_fields(ctx, data)
 
-        def check(st_json, ct_json, where):
+        def check(bent, where):
             nonlocal attempted
             attempted += 1
             try:
-                st_m = absc.st_from_json(ctx, st_json)
-                ct_m = absc.ct_from_json(ct_json)
+                st_m, ct_m = absc.payload_from_bytes(ctx, bent)
             except DecodeError:
                 return  # refused at the decoder: rejected
             if absc.designcrypt(pp, st_m, ct_m, key, vk) is not None:
                 false_accepts.append(where)
 
-        for field in ("c_tilde", "c", "w", "psi"):
-            for bent in _mutate_hex(rng, st_obj[field], 10):
-                check(dict(st_obj, **{field: bent}), ct_obj, field)
-        for bent in _mutate_decimal(rng, st_obj["pi"], 8):
-            check(dict(st_obj, pi=bent), ct_obj, "pi")
-        for li, leaf in enumerate(st_obj["leaves"]):
+        for field, count in (("c_tilde", 10), ("c", 10), ("w", 10), ("psi", 10),
+                             ("pi", 8)):
+            for bent in _mutate_field(rng, data, fields[field], count):
+                check(bent, field)
+        for li, idx in enumerate(st.tree.leaves()):
             for part in ("c_y", "c_y_prime"):
-                for bent in _mutate_hex(rng, leaf[part], 5):
-                    leaves = [dict(l) for l in st_obj["leaves"]]
-                    leaves[li][part] = bent
-                    check(dict(st_obj, leaves=leaves), ct_obj, f"leaf.{part}")
-            leaves = [dict(l) for l in st_obj["leaves"]]
-            leaves[li]["attr"] = leaf["attr"] + "x"
-            check(dict(st_obj, leaves=leaves), ct_obj, "leaf.attr")
-        for bent in _mutate_hex(rng, ct_obj["iv"], 6):
-            check(st_obj, dict(ct_obj, iv=bent), "iv")
-        for bent in _mutate_hex(rng, ct_obj["body"], 10):
-            check(st_obj, dict(ct_obj, body=bent), "body")
+                for bent in _mutate_field(rng, data, fields[(part, li)], 5):
+                    check(bent, f"leaf.{part}")
+            # an "x" appended to this leaf's attribute in the policy text
+            nodes = list(st.tree.nodes)
+            nodes[idx] = dataclasses.replace(nodes[idx],
+                                             attribute=nodes[idx].attribute + "x")
+            text = policy_to_text(AccessTree(tuple(nodes)))
+            check(oracles.with_policy_text(ctx, data, text), "leaf.attr")
+        for field, count in (("iv", 6), ("body", 10)):
+            for bent in _mutate_field(rng, data, fields[field], count):
+                check(bent, field)
     phase_a = attempted
 
     # Phase B: flip every kind of payload byte (policy text included) on
@@ -239,9 +228,9 @@ def test_acceptance_tamper_rejection(scheme_sym, scheme_asym):
     dev = DeviceNode("gate", pp, key, registry, 15, clock=ManualClock(18))
 
     positions = set()
-    policy_at = payload.index(b"policy")
-    positions.update(rng.randrange(policy_at, policy_at + 40)
-                     for _ in range(30))  # hammer the policy text region
+    policy_text = oracles.payload_fields(pp.ctx, payload)["policy"]
+    positions.update(rng.randrange(*policy_text)
+                     for _ in range(30))  # hammer the policy text
     while len(positions) < 250:
         positions.add(rng.randrange(len(payload)))
     for pos in sorted(positions):

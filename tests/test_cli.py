@@ -318,6 +318,24 @@ def test_scenario_from_config_file(tmp_path, capsys):
     assert all(json.loads(line) for line in lines)
 
 
+@pytest.mark.parametrize("config, fault, message", [
+    ([1, 2], None, "is not an object"),
+    ([1, 2], "tamper-payload", "is not an object"),
+    ({"slot_seconds": "x"}, None, "slot_seconds missing or not a int"),
+    ({"slot_seconds": 15, "devices": [1]}, None, "scenario device is not an object"),
+    ({"slot_seconds": 15, "message_hex": 7}, None, "expected lowercase hex"),
+], ids=["list", "list-with-fault", "slot-seconds", "device", "message-hex"])
+def test_scenario_refuses_a_malformed_config(tmp_path, capsys, config, fault,
+                                             message):
+    # each was a TypeError traceback
+    cfg = tmp_path / "scn.json"
+    cfg.write_text(json.dumps(config))
+    argv = ["scenario", "--config", str(cfg)] + (["--fault", fault] if fault else [])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_argparse_rejects_bad_invocations(authority_dir):
     with pytest.raises(SystemExit):
         cli.main(["ta", "register", "--dir", str(authority_dir),

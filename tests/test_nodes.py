@@ -350,17 +350,12 @@ def test_chain_read_endpoints(authority, stack_factory):
         assert http_get(f"{stack.validator.url}{path}").status_code == 404
 
 
-def signcrypted_parts(ta, bundles, msg=MESSAGE, seed=31):
-    """The publisher's signcrypted payload as its two JSON parts."""
+def signcrypted_payload(ta, bundles, msg=MESSAGE, seed=31):
+    """The publisher's signcrypted payload bytes."""
     sk = absc.SigningKey(ta.ctx.deserialize_element(
         bytes.fromhex(bundles["sp"]["key_sign"]), "s2"))
     st, ct = absc.signcrypt(ta.pp, sk, msg, POLICY, random.Random(seed))
-    return absc.st_to_json(st), absc.ct_to_json(ct)
-
-
-def record_for(bundles, st_obj, ct_obj):
-    """The registered publisher's record over any payload JSON, digests intact."""
-    return record_over(bundles, absc.canonical_json({"st": st_obj, "ct": ct_obj}))
+    return absc.payload_bytes(st, ct)
 
 
 def record_over(bundles, payload):
@@ -370,9 +365,8 @@ def record_over(bundles, payload):
                          sp["pseudo_id"], hashlib.sha256(payload).digest(), payload)
 
 
-def off_curve(ctx, point_hex):
+def off_curve(ctx, data):
     """An encoding with the same tag, width and x whose (x, y) is not on the curve."""
-    data = bytes.fromhex(point_hex)
     w = ctx.params.fq_bytes
     for y in range(1, 1000):
         bent = data[:1 + w] + y.to_bytes(w, "big")
@@ -380,7 +374,7 @@ def off_curve(ctx, point_hex):
             ctx.deserialize_element(bent, "s1")
         except DecodeError as exc:
             if "not on the curve" in str(exc):
-                return bent.hex()
+                return bent
     raise AssertionError("no off-curve y below 1000")
 
 
@@ -391,12 +385,13 @@ def test_cofactor_shifted_psi_passes_relays_and_fails_designcrypt(authority,
     # on the device that decrypts
     ta, bundles = authority
     stack = stack_factory(push=True)
-    st_obj, ct_obj = signcrypted_parts(ta, bundles)
-    psi = ta.ctx.deserialize_element(bytes.fromhex(st_obj["psi"]), "s2")
+    payload = signcrypted_payload(ta, bundles)
+    span = oracles.payload_fields(ta.ctx, payload)["psi"]
+    psi = ta.ctx.deserialize_element(payload[slice(*span)], "s2")
     h = oracles.cofactor_point(ta.ctx.params, random.Random(37))
     moved = pairing.pt_add(psi.point, h, ta.ctx.params.q)
-    st_obj["psi"] = GroupElement(ta.ctx, "s2", moved).to_bytes().hex()
-    record = record_for(bundles, st_obj, ct_obj)
+    record = record_over(bundles, oracles.splice(
+        payload, span, GroupElement(ta.ctx, "s2", moved).to_bytes()))
     resp = http_post_json(f"{stack.validator.url}/records",
                           ledger.record_to_json(record))
     assert resp.json() == {"status": "accepted"}
@@ -427,13 +422,15 @@ def test_validator_rejects_bad_records(authority, stack_factory):
     assert resp.status_code == 400
     assert resp.json()["reason"].startswith("structure:")
 
-    # payload shape: a point one byte short, a missing key (digests intact)
-    st_obj, ct_obj = signcrypted_parts(ta, bundles)
-    short_point = dict(st_obj, c=st_obj["c"][:-2])
-    missing_key = {k: v for k, v in st_obj.items() if k != "w"}
-    for bad_st in (short_point, missing_key):
+    # payload shape: a point one byte short, a missing leaf (digests intact)
+    payload = signcrypted_payload(ta, bundles)
+    fields = oracles.payload_fields(ta.ctx, payload)
+    short_point = oracles.splice(payload, (fields["c"][1] - 1, fields["c"][1]), b"")
+    missing_leaf = oracles.splice(
+        payload, (fields[("c_y", 1)][0], fields[("c_y_prime", 1)][1]), b"")
+    for bad in (short_point, missing_leaf):
         resp = http_post_json(f"{stack.validator.url}/records",
-                              ledger.record_to_json(record_for(bundles, bad_st, ct_obj)))
+                              ledger.record_to_json(record_over(bundles, bad)))
         assert resp.status_code == 400
         assert resp.json()["reason"].startswith("structure:")
     assert len(stack.validator.pending) == 0
@@ -444,7 +441,7 @@ def test_relays_never_decode_curve_points(authority, stack_factory, tmp_path,
     ta, bundles = authority
     stack = stack_factory()
     stack.validator.store_path = tmp_path / "chain.jsonl"
-    record = record_for(bundles, *signcrypted_parts(ta, bundles))
+    record = record_over(bundles, signcrypted_payload(ta, bundles))
     calls = []
 
     def counting(name):
@@ -476,9 +473,10 @@ def test_relays_never_decode_curve_points(authority, stack_factory, tmp_path,
 def test_off_curve_point_passes_relays_and_alarms_devices(authority, stack_factory):
     ta, bundles = authority
     stack = stack_factory(push=True)
-    st_obj, ct_obj = signcrypted_parts(ta, bundles)
-    st_obj["c"] = off_curve(ta.ctx, st_obj["c"])
-    record = record_for(bundles, st_obj, ct_obj)
+    payload = signcrypted_payload(ta, bundles)
+    span = oracles.payload_fields(ta.ctx, payload)["c"]
+    record = record_over(bundles, oracles.splice(
+        payload, span, off_curve(ta.ctx, payload[slice(*span)])))
     resp = http_post_json(f"{stack.validator.url}/records",
                           ledger.record_to_json(record))
     assert resp.json() == {"status": "accepted"}
@@ -492,24 +490,24 @@ def test_off_curve_point_passes_relays_and_alarms_devices(authority, stack_facto
 
 
 def test_non_canonical_payload_bytes_are_refused(authority, stack_factory):
-    # each variant parses to the signed fields of one honest payload but
-    # has its own digest; relays and devices alike refuse it
+    # each variant carries the signed fields of one honest payload (the
+    # same tree, pi mod p, every other byte) but has its own digest;
+    # relays and devices alike refuse it
     ta, bundles = authority
     stack = stack_factory()
-    st_obj, ct_obj = signcrypted_parts(ta, bundles)
-    honest = {"st": st_obj, "ct": ct_obj}
-    variants = [
-        dict(honest, st=dict(st_obj, pi="0" + st_obj["pi"])),
-        dict(honest, st=dict(st_obj, policy=st_obj["policy"].replace(" ", "  "))),
-        dict(honest, st=dict(st_obj, note="x")),
-        dict(honest, note="x"),
-    ]
-    payloads = [absc.canonical_json(v) for v in variants]
-    payloads.append(json.dumps(honest, sort_keys=True).encode())  # whitespace
-    assert len({absc.canonical_json(honest), *payloads}) == 6
+    honest = signcrypted_payload(ta, bundles)
+    fields = oracles.payload_fields(ta.ctx, honest)
+    pi = int.from_bytes(honest[slice(*fields["pi"])], "big") + ta.ctx.p
+    variants = {
+        oracles.with_policy_text(ta.ctx, honest, POLICY.replace(" ", "  ")):
+            "policy text is not in canonical form",
+        oracles.splice(honest, fields["pi"], pi.to_bytes(ta.ctx.params.r_bytes, "big")):
+            "pi out of range",
+        honest + b"\x00": "body must be a positive multiple of the block size",
+    }
+    assert len({honest, *variants}) == 4
     pid = bundles["sp"]["pseudo_id"]
-    for payload in [absc.canonical_json(honest)] + payloads:
-        json.loads(payload)  # valid JSON, every one
+    for payload in [honest, *variants]:
         resp = http_post_json(f"{stack.validator.url}/records",
                               ledger.record_to_json(record_over(bundles, payload)))
         dev = bare_device(ta, bundles)
@@ -517,14 +515,14 @@ def test_non_canonical_payload_bytes_are_refused(authority, stack_factory):
                   "payload_digest": hashlib.sha256(payload).hexdigest()}
         outcome = dev.receive(header, pid, payload)
         alarms = [e["detail"] for e in dev.events if e["event"] == "integrity-alarm"]
-        if payload == absc.canonical_json(honest):  # the counters are live
+        if payload == honest:  # the counters are live
             assert resp.json() == {"status": "accepted"}
             assert outcome == "accepted"
             continue
         assert resp.status_code == 400
-        assert resp.json()["reason"] == "structure: payload is not in canonical form"
+        assert resp.json()["reason"] == f"structure: {variants[payload]}"
         assert outcome == "alarm"
-        assert alarms == ["decode: payload is not in canonical form"]
+        assert alarms == [f"decode: {variants[payload]}"]
     assert len(stack.validator.pending) == 1
 
 
@@ -860,7 +858,7 @@ def test_a_clock_advance_wakes_the_validator(authority):
 def test_a_record_in_an_open_slot_is_sealed_at_once(authority):
     # time.time cannot signal; the record's arrival wakes the loop
     ta, bundles = authority
-    body = ledger.record_to_json(record_for(bundles, *signcrypted_parts(ta, bundles)))
+    body = ledger.record_to_json(record_over(bundles, signcrypted_payload(ta, bundles)))
     delays = []
     for _ in range(10):
         validator = started_validator(ta, bundles, time.time)

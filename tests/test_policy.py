@@ -75,6 +75,8 @@ def test_parse_mixed_gate_contents():
     (")A", 0),
     ("(A or B", None),
     ("A @2", None),
+    # was a RecursionError
+    pytest.param("(" * 400 + "A" + ")" * 400, 16, id="deep-nesting"),
 ])
 def test_parse_errors(text, pos_check):
     with pytest.raises(PolicySyntaxError) as err:

@@ -15,14 +15,15 @@ Ops, on each curve profile:
     keygen            absc.keygen of an n-attribute key
     decode_s1         strict decode of one s1 point
     decode_eval       evaluation-point decode of one s1 point (on-curve only)
-    payload_decode    payload_from_bytes of an AND-of-n payload, points included
+    payload_encode    payload_bytes of an AND-of-n payload
+    payload_decode    payload_from_bytes of the same payload, points included
     key_load          attribute_key_from_json of an n-attribute key
     signcrypt_warm    signcrypt, AND of n attributes, signing key reused
     designcrypt_warm  designcrypt, AND of n attributes, key reused
     designcrypt_cold  the same with a fresh copy of the key each call
 
-Each op runs once untimed, then REPEATS timed calls, pinned to one CPU
-as perfbench/run.py is.
+Each op runs once untimed, then REPEATS calls timed in thread CPU time,
+pinned to one CPU as perfbench/run.py is.
 Usage, from the root of a checkout:
 
     PYTHONPATH=src python3 tools/bench_pairing.py LABEL OUT.json
@@ -50,14 +51,15 @@ SEED = 5
 
 
 def _time(fn, repeats, prepare=None):
-    """Per-call ms over `repeats` calls after one warm-up; prepare() is untimed."""
+    """Per-call thread CPU ms over `repeats` calls after one warm-up;
+    prepare() is untimed."""
     samples = []
     for k in range(repeats + 1):
         arg = prepare() if prepare else None
-        t0 = time.perf_counter()
+        t0 = time.thread_time()
         fn(arg)
         if k:
-            samples.append((time.perf_counter() - t0) * 1e3)
+            samples.append((time.thread_time() - t0) * 1e3)
     return samples
 
 
@@ -117,6 +119,8 @@ def bench_profile(profile):
         rows.append(_row(profile, "key_load", n, _time(
             lambda _: absc.attribute_key_from_json(ctx, key_json), REPEATS)))
         data = absc.payload_bytes(st, ct)
+        rows.append(_row(profile, "payload_encode", n, _time(
+            lambda _: absc.payload_bytes(st, ct), REPEATS)))
         rows.append(_row(profile, "payload_decode", n, _time(
             lambda _: absc.payload_from_bytes(ctx, data), REPEATS)))
         rows.append(_row(profile, "signcrypt_warm", n, _time(
