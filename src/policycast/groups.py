@@ -37,9 +37,12 @@ that way.  GroupContext.pow_many raises several fixed bases as one
 pairing.pt_mul_fixed batch, which shares its inversions, and ** on a
 fixed base is a batch of one.  A fixed element that is never raised,
 such as a device key, builds no table; any other base goes through
-pairing.pt_mul.  GroupContext(profile) returns the
-process's one context for the profile, so the generators' tables, g2's
-lines and the cached e(g1, g2) are built once per process.
+pairing.pt_mul.  GroupContext.scale_many multiplies points by short
+ints, unreduced, as one pairing.pt_mul_many batch: absc scales
+evaluation points by integer Lagrange coefficients that way.
+GroupContext(profile) returns the process's one context for the
+profile, so the generators' tables, g2's lines and the cached
+e(g1, g2) are built once per process.
 
 Serialized form (all big-endian, fixed width per profile):
 
@@ -304,6 +307,24 @@ class GroupContext:
                              None if base.point is None else next(points))
                 for base, _ in pairs]
 
+    def scale_many(self, pairs):
+        """[a ** k for (a, k) in a list of pairs], for source-group points
+        a and nonzero ints k of either sign, as one pairing.pt_mul_many
+        batch: one inversion for all.  k is not reduced mod p, so a short
+        k costs a few doublings whatever a's order; a point scaled to the
+        point at infinity comes back as the identity.
+        """
+        jobs = []
+        for a, k in pairs:
+            self._want(a)
+            if a.group in _FQ2_GROUPS or not isinstance(k, int) or k == 0:
+                raise ValueError("scale_many takes points and nonzero ints")
+            if a.point is not None:
+                jobs.append((a.point, k))
+        points = iter(_pr.pt_mul_many(jobs, self.params.q))
+        return [GroupElement(self, a.group, None if a.point is None else next(points))
+                for a, _ in pairs]
+
     # -- hashing ------------------------------------------------------------
 
     def hash_to_bits(self, data):
@@ -327,7 +348,10 @@ class GroupContext:
         fixed (GroupElement.fixed) share one loop over the b's stored
         lines, and any other pair runs tate_miller over b.  Both walks,
         tate_miller and the first use's miller_lines, raise ValueError
-        unless b has order p; a b refused that way keeps no lines.
+        unless b has order p; a b refused that way keeps no lines.  A
+        pair whose a is the identity or has y = 0 is skipped: such an a
+        lies in rE, where the reduced pairing is 1 (pairing module
+        docstring, "Walked and evaluated points").
         """
         q = self.params.q
         f = _pr.FQ2_ONE
@@ -335,7 +359,7 @@ class GroupContext:
         for a, b in pairs:
             self._want(a, "s1")
             self._want(b, self.key_group)
-            if a.point is None or b.point is None:
+            if a.point is None or a.point[1] == 0 or b.point is None:
                 continue
             if b.lines is None:  # walk b, evaluate at a, as the stored lines do
                 f = _pr.fq2_mul(f, _pr.tate_miller(b.point, a.point, self.params), q)

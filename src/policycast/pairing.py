@@ -38,9 +38,13 @@ by the F_q part of each one's i-coefficient.  Those divisors are F_q
 factors, which the final exponentiation kills, and one Montgomery batch
 inversion covers all of them.  Each line is then two ints (a, b) with
 value a + b*xq + i*yq at phi(Q), and fixed_miller evaluates the table
-at Q with no point arithmetic and no inversion: about a third of a
-Miller loop.  Tables all follow the bits of r, so several (table, Q)
-pairs share one loop and its squarings; a pair evaluated at
+at Q with no point arithmetic: about a third of a Miller loop.  It
+reads each line in u-form, divided by yq, one more F_q factor: u + i
+with u = a/yq + b*xq/yq, and one batch inversion per call covers every
+Q.  Tables all follow the bits of r, so several (table, Q) pairs share
+one loop and its squarings, and the lines met between two squarings
+multiply in pairs, (u1 + i)(u2 + i) = (u1*u2 - 1) + i*(u1 + u2): one
+F_q2 product into f per pair of lines.  A pair evaluated at
 -Q = (xq, -yq) contributes the conjugate, which the final
 exponentiation turns into the inverse.
 
@@ -59,7 +63,9 @@ each round shares one inversion across all the batch's additions, so
 a batch of any size takes about log2(rows) inversions, 5 at 32 rows,
 and no doublings.  A single power is a batch of one.  pt_mul, the
 double-and-add for any other base, and the tables share one
-Jacobian-plus-affine mixed addition, _jac_add_affine.
+Jacobian-plus-affine mixed addition, _jac_add_affine; pt_mul_many runs
+pt_mul's double-and-add for a batch of short scalars of either sign
+and makes every result affine with one batch inversion.
 
 Walked and evaluated points.  Only the walked point must have order r:
 the loop relies on rP = O to end in the vertical chord, and the one
@@ -89,7 +95,11 @@ points it has not subgroup-checked must bind their bytes some other
 way (absc signs them).  Evaluation points must also have y != 0: the
 only such point, (0, 0), has order two, every line's i-part vanishes at
 it, and with y != 0 no line value is zero, so tate_final_exp's
-inversion is always defined.
+inversion is always defined and fixed_miller's u-form is too.  A point
+with a small-order part can scale to O or to (0, 0), as designcrypt's
+integer coefficients scale leaf points (absc); both lie in rE, so their
+pairing is 1, and GroupContext.miller skips them rather than evaluate
+at them.
 
 Points travel as (x, y) (groups.GroupContext.serialize_element), so a
 decode is one on-curve check, pt_is_on_curve, and no square root;
@@ -286,12 +296,8 @@ def _batch_to_affine(points, q):
     return out
 
 
-def pt_mul(P, k, q):
-    """k*P via Jacobian double-and-add; returns an affine point."""
-    if P is None or k == 0:
-        return None
-    if k < 0:
-        return pt_mul(pt_neg(P, q), -k, q)
+def _jac_mul(P, k, q):
+    """k*P for k >= 1 by double-and-add, in Jacobian coordinates."""
     xp, yp = P
     X, Y, Z = xp, yp, 1
     for bit in bin(k)[3:]:
@@ -299,7 +305,25 @@ def pt_mul(P, k, q):
             X, Y, Z = _jac_double(X, Y, Z, q)
         if bit == "1":
             X, Y, Z = _jac_add_affine(X, Y, Z, xp, yp, q)
-    return _jac_to_affine(X, Y, Z, q)
+    return X, Y, Z
+
+
+def pt_mul(P, k, q):
+    """k*P via Jacobian double-and-add; returns an affine point."""
+    if P is None or k == 0:
+        return None
+    if k < 0:
+        return pt_mul(pt_neg(P, q), -k, q)
+    return _jac_to_affine(*_jac_mul(P, k, q), q)
+
+
+def pt_mul_many(jobs, q):
+    """k*P for every (P, k) job, P affine and k a nonzero int of either
+    sign, as pt_mul computes it, with one inversion for all the jobs."""
+    products = [_jac_mul(P if k > 0 else pt_neg(P, q), abs(k), q)
+                for P, k in jobs]
+    affine = iter(_batch_to_affine([J for J in products if J[2]], q))
+    return [next(affine) if Z else None for _, _, Z in products]
 
 
 FIXED_WINDOW = 5  # bits per window of a fixed-base table
@@ -487,22 +511,37 @@ def miller_lines(P, params):
 def fixed_miller(pairs, params):
     """Unreduced product of e(P, phi(Q)) over (miller_lines of P, Q) pairs.
 
-    The pairs share one loop and its squarings; each line costs one
-    evaluation at its Q and one F_q2 product, with no point arithmetic.
-    tate_final_exp reduces the result.
+    The pairs share one loop and its squarings.  Each line is read in
+    u-form, divided by yq: u + i with u = a/yq + b*xq/yq, one batch
+    inversion covering every Q.  The lines met between two squarings,
+    of all the tables, multiply in pairs, (u1 + i)(u2 + i) = (u1*u2 - 1)
+    + i*(u1 + u2), so each pair costs one F_q2 product into f; an odd
+    one out costs a sparse one.  No point arithmetic.  tate_final_exp
+    reduces the result.
     """
     q = params.q
-    terms = [(lines, xq, yq) for lines, (xq, yq) in pairs]
+    inverses = _batch_inv([yq for _, (_, yq) in pairs], q)
+    points = [(xq * y_inv % q, y_inv) for (_, (xq, _)), y_inv in zip(pairs, inverses)]
     fa, fb = 1, 0
-    for k, (_, _, doubling) in enumerate(pairs[0][0]):
-        if doubling:
+    u1 = None  # a line waiting for its partner
+    for row in zip(*[lines for lines, _ in pairs]):
+        if row[0][2]:  # a doubling: f <- f^2, after the line left waiting
+            if u1 is not None:
+                fa, fb = (fa * u1 - fb) % q, (fa + fb * u1) % q
+                u1 = None
             fa, fb = (fa + fb) * (fa - fb) % q, 2 * fa * fb % q
-        for lines, xq, yq in terms:
-            a, b, _ = lines[k]
-            lr = (a + b * xq) % q
-            m1 = fa * lr
-            m2 = fb * yq
-            fa, fb = (m1 - m2) % q, ((fa + fb) * (lr + yq) - m1 - m2) % q
+        for (a, b, _), (xy, y_inv) in zip(row, points):
+            u = (a * y_inv + b * xy) % q
+            if u1 is None:
+                u1 = u
+                continue
+            la, lb = (u1 * u - 1) % q, u1 + u
+            m1 = fa * la
+            m2 = fb * lb
+            fa, fb = (m1 - m2) % q, ((fa + fb) * (la + lb) - m1 - m2) % q
+            u1 = None
+    if u1 is not None:
+        fa, fb = (fa * u1 - fb) % q, (fa + fb * u1) % q
     return fa, fb
 
 

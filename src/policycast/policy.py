@@ -310,14 +310,13 @@ def share_secret(tree, secret, rng=None):
     return shares
 
 
-def satisfies(tree, attributes, root=None):
+def satisfies(tree, attributes):
     """Decide satisfaction and pick a deterministic satisfying frontier.
 
     For every interior node on the frontier the result records the
     lexicographically smallest set of k satisfying child indices.
     """
     attrs = {normalize_attribute(a) for a in attributes}
-    root = tree.root if root is None else root
     nodes = tree.nodes
     memo = {}
 
@@ -332,7 +331,7 @@ def satisfies(tree, attributes, root=None):
         memo[idx] = out
         return out
 
-    if not ok(root):
+    if not ok(tree.root):
         return SatisfyResult(False, {})
 
     chosen = {}
@@ -347,21 +346,6 @@ def satisfies(tree, attributes, root=None):
         for pos in take:
             pick(node.children[pos - 1])
 
-    pick(root)
+    pick(tree.root)
     return SatisfyResult(True, chosen)
 
-
-def lagrange_coeff(i, index_set, at, modulus):
-    """Lagrange basis coefficient Delta_{i,S}(at) in Z_modulus."""
-    s = list(index_set)
-    if len(s) != len(set(s)):
-        raise ValueError("duplicate indices in S")
-    if i not in s:
-        raise ValueError("i must be a member of S")
-    num, den = 1, 1
-    for j in s:
-        if j == i:
-            continue
-        num = num * (at - j) % modulus
-        den = den * (i - j) % modulus
-    return Scalar(num * pow(den, -1, modulus), modulus)

@@ -13,10 +13,12 @@ that signcrypt's window tables and cached e(h, g2) replace, with
 keygen_reference and signing_keygen_reference, key generation by pt_mul
 with the formula (g2^alpha * g2^r)^(1/beta); tate_final_exp_reference,
 the square-and-multiply final exponentiation that the Lucas ladder
-replaces; and decrypt_node, designcrypt's tree evaluation with its own
-final exponentiation.  tate_miller_unchecked is the engine's Miller loop as it
-was before the loop learned to check its walked point,
-tree_to_json / tree_from_json a nested JSON form of access trees that
+replaces; and decrypt_node, the decryption tree evaluated as the
+scheme defines it, one reduced pairing per leaf and Lagrange
+coefficients (lagrange_coeff) in the target group, which designcrypt's
+single loop over integer coefficients replaces.  tate_miller_unchecked
+is the engine's Miller loop as it was before the loop learned to check
+its walked point, tree_to_json / tree_from_json a nested JSON form of access trees that
 the tests round-trip, and payload_fields the payload's byte layout as
 documented, at which the tests splice bytes.
 """
@@ -25,7 +27,7 @@ from dataclasses import replace
 
 from policycast import absc
 from policycast import pairing as pr
-from policycast.groups import GroupElement
+from policycast.groups import GroupElement, Scalar
 from policycast.policy import (_flatten, normalize_attribute, parse_policy,
                                share_secret)
 
@@ -318,16 +320,62 @@ def signing_keygen_reference(pp, mk, rng):
             absc.VerificationKey(GroupElement(ctx, ctx.key_group, key_ver)))
 
 
-def decrypt_node(pp, st, key, node=None):
-    """Evaluate the decryption tree at a node.
+def lagrange_coeff(i, index_set, at, modulus):
+    """Lagrange basis coefficient Delta_{i,S}(at) in Z_modulus."""
+    s = list(index_set)
+    if len(s) != len(set(s)):
+        raise ValueError("duplicate indices in S")
+    if i not in s:
+        raise ValueError("i must be a member of S")
+    num, den = 1, 1
+    for j in s:
+        if j == i:
+            continue
+        num = num * (at - j) % modulus
+        den = den * (i - j) % modulus
+    return Scalar(num * pow(den, -1, modulus), modulus)
 
-    Returns e(g1, g2)^(r_enc * q_node(0)) when the key's attributes
-    satisfy the subtree rooted there, else None.  Leaves pair the leaf
-    components against the matching key components; interior nodes
-    Lagrange-combine a deterministic choice of k satisfying children.
+
+def decrypt_node(pp, st, key):
+    """Evaluate the decryption tree, by the textbook.
+
+    Returns e(g1, g2)^(r_enc * s) when the key's attributes satisfy
+    the tree, else None.  Each leaf is one
+    reduced pairing ratio e(C_y, d_j) / e(C'_y, d'_j) through
+    tate_pairing, and each gate Lagrange-combines the values of its
+    first k satisfied children in the target group, each raised to its
+    coefficient mod p.
     """
-    core = absc._decrypt_core(pp, st, key, st.tree.root if node is None else node)
-    return None if core is None else pp.ctx.final_exp(core)
+    ctx = pp.ctx
+    ps = ctx.params
+    q = ps.q
+    nodes = st.tree.nodes
+
+    def value(idx):
+        n = nodes[idx]
+        if n.is_leaf:
+            if n.attribute not in key.attributes:
+                return None
+            c_y, c_y_prime = st.leaf_c[idx]
+            d_j, d_j_prime = key.comps[n.attribute]
+            return omul(tate_pairing(d_j.point, c_y.point, ps),
+                        oinv(tate_pairing(d_j_prime.point, c_y_prime.point, ps), q), q)
+        found = {}
+        for pos, child in enumerate(n.children, start=1):
+            v = value(child)
+            if v is not None:
+                found[pos] = v
+                if len(found) == n.threshold:
+                    break
+        else:
+            return None
+        acc = FQ2_ONE
+        for pos, v in found.items():
+            acc = omul(acc, oexp(v, lagrange_coeff(pos, found, 0, ctx.p).value, q), q)
+        return acc
+
+    out = value(st.tree.root)
+    return None if out is None else GroupElement(ctx, "gt", out)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ import time
 import pytest
 
 import oracles
+from oracles import lagrange_coeff
 from policycast import absc, pairing
-from policycast.groups import DecodeError, GroupContext, GroupElement
+from policycast.groups import DecodeError, GroupContext, GroupElement, Scalar
 from policycast.nodes import DeviceNode, ManualClock
-from policycast.policy import lagrange_coeff, parse_policy, satisfies
+from policycast.policy import parse_policy, satisfies
 
 
 def attr_hash(ctx, attr):
@@ -254,6 +255,168 @@ def test_designcrypt_matches_reduced_reference(scheme):
     assert t["reason"] == "verify-failed"
 
 
+SIXTEEN = [f"a{i:02d}" for i in range(16)]
+THIRTY = [f"a{i:02d}" for i in range(30)]
+# (policy, attributes held, the common denominator d of the leaves' coefficients)
+SHAPES = {
+    "and-of-8": (" and ".join(SIXTEEN[:8]), SIXTEEN[:8], 1),
+    "2-of-16-ends": ("(" + ", ".join(SIXTEEN) + ")@2", ["a00", "a15"], 15),
+    "negative": ("(a, b, c)@2", ["b", "c"], 1),  # coefficients 3 and -2
+    "nested": ("((a, b, c)@2, (d, e)@1, f)@2", ["b", "c", "f"], 2),
+    "30-of-30": ("(" + ", ".join(THIRTY) + ")@30", THIRTY, 1),  # wide
+}
+
+
+@pytest.mark.parametrize("scheme_name, shape", [
+    (f"scheme_{lane}", shape) for shape in SHAPES for lane in ("sym", "asym")
+    if shape != "30-of-30" or lane == "asym"])
+def test_designcrypt_matches_textbook_reference(request, scheme_name, shape):
+    # t^s and delta' from the one loop over integer coefficients equal
+    # the textbook's: a reduced pairing per leaf, Lagrange in the target
+    # group (oracles.decrypt_node), every pairing through tate_pairing
+    pp, mk = request.getfixturevalue(scheme_name)
+    ctx = pp.ctx
+    policy, held, d = SHAPES[shape]
+    ps, q = ctx.params, ctx.params.q
+    rng = random.Random(151)
+    sk, vk = absc.signing_keygen(pp, mk, rng)
+    key = absc.keygen(pp, mk, held, rng)
+    enc_t, dec_t = {}, {}
+    st, ct = absc.signcrypt(pp, sk, b"payload", policy, rng, enc_t)
+    assert absc._leaf_coefficients(st.tree, key.attributes)[0] == d
+    if shape == "30-of-30":  # C(30, 15) and its neighbours are powers
+        coeffs = absc._leaf_coefficients(st.tree, key.attributes)[1].values()
+        assert max(abs(m) for m in coeffs).bit_length() > absc.SCALE_BITS
+    assert absc.designcrypt(pp, st, ct, key, vk, dec_t) == b"payload"
+
+    def pair(walked, evaluated):
+        return oracles.tate_pairing(walked.point, evaluated.point, ps)
+
+    a = oracles.decrypt_node(pp, st, key).point
+    t_s = oracles.omul(pair(key.d_enc, st.c), oracles.oinv(a, q), q)
+    denom = oracles.oexp(oracles.omul(pair(vk.key_ver, st.w), t_s, q), st.pi.value, q)
+    delta = oracles.omul(pair(st.psi, st.c), oracles.oinv(denom, q), q)
+    assert dec_t["t_s"].point == t_s == enc_t["t_s"].point
+    assert dec_t["delta_prime"].point == delta == enc_t["delta"].point
+
+
+def test_leaf_coefficients_are_the_lagrange_coefficients(scheme_asym):
+    # m / d, with m and d integers, is each chosen leaf's flattened
+    # Lagrange coefficient mod p, over the frontier satisfies() picks
+    p = scheme_asym[0].ctx.p
+    rng = random.Random(157)
+    for trial in range(40):
+        text, _ = oracles.random_tree_text(rng, 2 + trial % 12, max_arity=6)
+        tree = parse_policy(text)
+        attrs = oracles.sample_satisfying(tree, rng)
+        d, coeffs = absc._leaf_coefficients(tree, attrs)
+        sat = satisfies(tree, attrs)
+        want = {}
+
+        def walk(idx, coeff):
+            n = tree.nodes[idx]
+            if n.is_leaf:
+                want[idx] = coeff
+                return
+            for pos in sat.chosen[idx]:
+                walk(n.children[pos - 1],
+                     coeff * lagrange_coeff(pos, sat.chosen[idx], 0, p))
+
+        walk(tree.root, Scalar(1, p))
+        assert set(coeffs) == set(want)
+        d_inv = pow(d, -1, p)
+        assert all(m * d_inv % p == want[idx].value for idx, m in coeffs.items())
+        assert all(m for m in coeffs.values())
+        for factor in range(2, 256):  # d's prime factors are child-index gaps
+            while d % factor == 0:
+                d //= factor
+        assert d == 1
+        if not oracles.oracle_satisfies(tree, {"zz-outsider"}):
+            assert absc._leaf_coefficients(tree, {"zz-outsider"}) is None
+
+
+def _two_power_torsion(params, rng):
+    """A point of order 4 or more whose order is a power of two."""
+    c = params.c
+    while c % 2 == 0:
+        c //= 2
+    while True:
+        t = pairing.pt_mul(oracles.cofactor_point(params, rng), c, params.q)
+        if t is not None and t[1] != 0:
+            return t
+
+
+def test_designcrypt_survives_leaf_points_that_scale_away(scheme):
+    # AND-of-8 scales leaf 1's C_y by -8 and leaf 2's C'_y by 28: a point
+    # of order 4 or 8 lands on O or on (0, 0), whose pairing is 1 and
+    # which the loop skips; designcrypt fails cleanly and never raises
+    pp, mk = scheme
+    ctx = pp.ctx
+    q = ctx.params.q
+    rng = random.Random(163)
+    t = _two_power_torsion(ctx.params, rng)
+    assert pairing.pt_mul(t, 8, q) is None
+    assert pairing.pt_mul(t, 28, q) in (None, (0, 0))
+    assert ctx.scale_many([(GroupElement(ctx, "s1", t), -8)])[0].is_identity
+    sk, vk = absc.signing_keygen(pp, mk, rng)
+    key = absc.keygen(pp, mk, SIXTEEN[:8], rng)
+    st, ct = absc.signcrypt(pp, sk, b"payload", " and ".join(SIXTEEN[:8]), rng)
+    d, coeffs = absc._leaf_coefficients(st.tree, key.attributes)
+    first, second = st.tree.leaves()[:2]
+    assert (d, coeffs[first], coeffs[second]) == (1, 8, -28)
+    leaf_c = dict(st.leaf_c)
+    point = GroupElement(ctx, "s1", t)
+    leaf_c[first] = (point, leaf_c[first][1])
+    leaf_c[second] = (leaf_c[second][0], point)
+    transcript = {}
+    bad = dataclasses.replace(st, leaf_c=leaf_c)
+    assert absc.designcrypt(pp, bad, ct, key, vk, transcript) is None
+    assert transcript["reason"] in ("decrypt-failed", "verify-failed")
+    # (0, 0) itself pairs to 1
+    zero = GroupElement(ctx, "s1", (0, 0))
+    assert ctx.miller((zero, key.d_enc)).is_identity
+
+
+def _count_pairing_calls(monkeypatch, *names):
+    """A list that records, in order, each call to the named pairing functions."""
+    calls = []
+
+    def counting(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(pairing, name, counting(name, getattr(pairing, name)))
+    return calls
+
+
+def test_warm_designcrypt_runs_one_loop_for_the_tree(scheme, monkeypatch):
+    # AND-of-8: every coefficient is a short integer and d = 1, so the 16
+    # leaf pairings and e(C, d_enc) share one stored-line loop, e(w,
+    # key_ver) is a second, and the only target-group power is delta''s pi
+    pp, mk = scheme
+    rng = random.Random(167)
+    sk, vk = absc.signing_keygen(pp, mk, rng)
+    key = absc.keygen(pp, mk, SIXTEEN[:8], rng)
+    st, ct = absc.signcrypt(pp, sk, b"payload", " and ".join(SIXTEEN[:8]), rng)
+    assert absc.designcrypt(pp, st, ct, key, vk) == b"payload"  # warm the lines
+    calls = _count_pairing_calls(monkeypatch, "pt_mul", "tate_miller",
+                                 "miller_lines", "fixed_miller", "tate_final_exp")
+    real_pow = GroupElement.__pow__
+
+    def counting_pow(el, k):
+        if el.group in ("gt", "miller"):
+            calls.append("gt_pow")
+        return real_pow(el, k)
+
+    monkeypatch.setattr(GroupElement, "__pow__", counting_pow)
+    assert absc.designcrypt(pp, st, ct, key, vk) == b"payload"
+    assert sorted(calls) == sorted(["fixed_miller"] * 2 + ["tate_miller"]
+                                   + ["tate_final_exp"] * 2 + ["gt_pow"])
+
+
 def test_key_lines_are_built_on_first_use_only(scheme, monkeypatch):
     pp, mk = scheme
     ctx = pp.ctx
@@ -313,17 +476,9 @@ def test_warm_signcrypt_does_no_generic_work(scheme, monkeypatch):
     rng = random.Random(131)
     sk, _ = absc.signing_keygen(pp, mk, rng)
     absc.signcrypt(pp, sk, b"warm-up", "a and b", rng)
-    calls = []
-
-    def counting(name, real):
-        def call(*args):
-            calls.append(name)
-            return real(*args)
-        return call
-
-    for name in ("pt_mul", "tate_miller", "miller_lines", "fixed_miller",
-                 "tate_final_exp", "fixed_base_table"):
-        monkeypatch.setattr(pairing, name, counting(name, getattr(pairing, name)))
+    calls = _count_pairing_calls(monkeypatch, "pt_mul", "tate_miller",
+                                 "miller_lines", "fixed_miller", "tate_final_exp",
+                                 "fixed_base_table")
     absc.signcrypt(pp, sk, b"warm", "(a, b, c)@2 and d", rng)
     assert calls == []
 

@@ -18,11 +18,12 @@ import pytest
 
 import oracles
 from conftest import record_acceptance
+from oracles import lagrange_coeff
 from policycast import absc, bench, ledger, scenario
 from policycast.groups import DecodeError, GroupContext
 from policycast.nodes import DeviceNode, ManualClock
-from policycast.policy import (AccessTree, lagrange_coeff, parse_policy,
-                               policy_to_text, satisfies)
+from policycast.policy import (AccessTree, parse_policy, policy_to_text,
+                               satisfies)
 
 PROFILES = ("SYMMETRIC_512", "ASYMMETRIC_159")
 

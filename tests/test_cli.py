@@ -146,6 +146,32 @@ def test_node_commands_refuse_a_malformed_bundle(authority_dir, tmp_path,
         assert message in err
 
 
+def test_files_refuse_a_json_boolean_for_an_int(authority_dir, tmp_path,
+                                               capsys, no_serve):
+    # JSON true loads as a bool, which Python counts as the int 1
+    message = "slot_seconds missing or not a int"
+    public = json.loads((authority_dir / "public.json").read_text())
+    for command in ("sd", "sp"):
+        assert _run_with(authority_dir, tmp_path, public=dict(
+            public, slot_seconds=True), command=command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "public.json" in err and message in err
+    state = json.loads((authority_dir / "ta_state.json").read_text())
+    ta_dir = tmp_path / "ta"
+    ta_dir.mkdir()
+    (ta_dir / "ta_state.json").write_text(json.dumps(dict(state, slot_seconds=True)))
+    assert cli.main(["ta", "register", "--dir", str(ta_dir), "--role", "sd",
+                     "--identity", "sensor-19", "--attrs", "alpha"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (ta_dir / "public.json").exists()
+    config = tmp_path / "scn.json"
+    config.write_text(json.dumps({"slot_seconds": 15, "freshness_slots": False}))
+    assert cli.main(["scenario", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "freshness_slots missing or not a int" in err
+
+
 def test_files_with_a_quorum_key_still_load(authority_dir, tmp_path):
     # files written while the authority still stored a quorum carry the key
     for name in ("ta_state.json", "public.json"):

@@ -7,11 +7,11 @@ import random
 import pytest
 
 import oracles
+from oracles import lagrange_coeff
 from policycast import absc, nodes
 from policycast import pairing as pr
 from policycast.groups import (ConfigurationError, DecodeError, GroupContext,
                                GroupElement, GroupMismatchError, Scalar)
-from policycast.policy import lagrange_coeff
 
 # frozen first-build serializations; any engine change that moves these
 # is a compatibility break, not a refactor
@@ -155,12 +155,16 @@ def test_fixed_argument_lines_match_the_pairing(ctx):
         assert got == oracles.tate_pairing(B, A, ps)  # the arguments swapped
         if k < 2:
             assert got == oracles.naive_tate(A, B, ps)
-    # several pairs share one loop; a negated point inverts its pairing
+    # several pairs share one loop, their lines multiplied in pairs (an
+    # odd count leaves one over); a negated point inverts its pairing
     A2 = pr.pt_mul(ps.g1, rng.randrange(1, ps.r), ps.q)
     B2 = pr.pt_mul(base2, rng.randrange(1, ps.r), ps.q)
     pairs = [(lines, A), (pr.miller_lines(B2, ps), pr.pt_neg(A2, ps.q))]
     want = oracles.omul(oracles.naive_tate(A, B, ps),
                         oracles.oinv(oracles.tate_pairing(A2, B2, ps), ps.q), ps.q)
+    assert pr.tate_final_exp(pr.fixed_miller(pairs, ps), ps) == want
+    want = oracles.omul(want, oracles.tate_pairing(B2, A, ps), ps.q)
+    pairs.append((pairs[1][0], A))
     assert pr.tate_final_exp(pr.fixed_miller(pairs, ps), ps) == want
     # the pinned e(g1, g2) through the stored lines of a new fixed copy of g2
     g2 = GroupElement(ctx, ctx.key_group, ctx.g2.point).fixed()
@@ -230,6 +234,27 @@ def test_fixed_base_batch_matches_pt_mul(ctx):
     with pytest.raises(ValueError):  # one wide scalar fails the batch
         pr.pt_mul_fixed(raw + [(ctx.g1.table, 1 << (pr.FIXED_WINDOW
                                                     * len(ctx.g1.table)))], q)
+
+
+def test_scale_many_matches_pt_mul(ctx):
+    # short signed scalars, unreduced: a point with a small-order part
+    # scales by its own order to the identity, as pt_mul takes it there
+    ps, p, q = ctx.params, ctx.p, ctx.params.q
+    rng = random.Random(47)
+    torsion = oracles.cofactor_point(ps, rng)
+    mixed = pr.pt_add(ctx.g1.point, torsion, q)
+    points = [ctx.g1, ctx.identity("s1"), GroupElement(ctx, "s1", torsion),
+              GroupElement(ctx, "s1", mixed)]
+    jobs = [(rng.choice(points), rng.choice((-1, 1)) * rng.randrange(1, 1 << 30))
+            for _ in range(12)]
+    jobs += [(a, k) for a in points for k in (1, -1, ps.c, p)]
+    got = ctx.scale_many(jobs)
+    assert [el.point for el in got] == [pr.pt_mul(a.point, k, q) for a, k in jobs]
+    assert all(el.is_identity for el in ctx.scale_many([(points[2], ps.c), (ctx.g1, p)]))
+    assert ctx.scale_many([]) == []
+    for bad in [(ctx.g1, 0), (ctx.g1, Scalar(2, p)), (ctx.identity("gt"), 2)]:
+        with pytest.raises(ValueError):
+            ctx.scale_many([bad])
 
 
 def test_fixed_base_tree_edge_cases(ctx):

